@@ -3,7 +3,7 @@
 //! round, the exact backends agree bit-for-bit, and the audited ledger
 //! backend's root survives crash-recovery replay.
 
-use lppa::protocol::{build_submissions, SuSubmission};
+use lppa::protocol::{build_submissions, AuctioneerModel, SuSubmission};
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::{LppaConfig, Ttp};
 use lppa_auction::bidder::Location;
@@ -53,7 +53,7 @@ fn every_backend_settles_a_clean_round() {
 
 #[test]
 fn exact_backends_are_bit_identical_and_deterministic() {
-    let (ttp, submissions) = fleet(12, 3, 42);
+    let (ttp, submissions) = fleet(12, 3, 52);
     let run = |kind: BackendKind, seed: u64| {
         AuctionSession::new(&ttp, config_for(kind)).run(&submissions, seed).unwrap()
     };
@@ -107,4 +107,72 @@ fn ledger_root_is_deterministic_and_replays_on_resume() {
     // A different session seed audits to a different root.
     let other = session.run(&submissions, 556).unwrap();
     assert_ne!(other.ledger_root, Some(root));
+}
+
+#[test]
+fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
+    // The determinism tests above compare runs against each other, so a
+    // change that moved a ledger payload byte (or any round decision)
+    // consistently everywhere would pass them. These literals pin the
+    // absolute values instead. The audited round carries a ragged
+    // sender (quarantined at collect), a price manipulator (its charge
+    // is refused and only its own grant struck), disguised zeros
+    // (invalidated charges) and a TTP that goes dark mid-charge
+    // (deferred charges), so the chain records every verdict tag.
+    let mut rng = StdRng::seed_from_u64(44);
+    let ttp = Ttp::new(3, LppaConfig::default(), &mut rng).unwrap();
+    // Zeros always disguise as a high bid, so disguised zeros win.
+    let mut disguise = vec![0.0; ttp.config().bid_max() as usize + 1];
+    disguise[110] = 1.0;
+    let policy = ZeroReplacePolicy::from_probabilities(disguise);
+    let bidders: Vec<(Location, Vec<u32>)> = (0..12)
+        .map(|i| {
+            let loc = Location::new(rng.gen_range(0..=127), rng.gen_range(0..=127));
+            let bids = (0..3).map(|ch| if (i + ch) % 6 == 0 { 0 } else { rng.gen_range(1..=100) });
+            (loc, bids.collect())
+        })
+        .collect();
+    let mut submissions = build_submissions(&bidders, &ttp, &policy, &mut rng).unwrap();
+    lppa_session::chaos::truncate_point(&mut submissions[5], 2, 3).unwrap();
+    lppa_session::chaos::forge_presented_bid(&mut submissions[8], &ttp, 0, 125, &mut rng).unwrap();
+    let config = SessionConfig {
+        backend: BackendKind::Ledger,
+        faults: FaultConfig::chaotic(),
+        collect_deadline: 20,
+        max_retries: 6,
+        ttp_schedule: TtpSchedule { offline_until: 22, online: 6, offline: 40 },
+        ttp_link: TtpLinkConfig { batch_size: 1, failure: 0.0, backoff: 1, max_batch_retries: 8 },
+        charge_deadline: 16,
+        model: AuctioneerModel::Oblivious,
+        ..SessionConfig::default()
+    };
+    let audited = AuctionSession::new(&ttp, config).run(&submissions, 2026).unwrap();
+    let verdicts: Vec<String> = audited
+        .journal
+        .entries()
+        .iter()
+        .filter_map(|e| match e {
+            lppa_session::JournalEntry::ChargeDecided { verdict, .. } => Some(verdict.clone()),
+            lppa_session::JournalEntry::ChargesDeferred { .. } => Some("deferred".into()),
+            _ => None,
+        })
+        .collect();
+    for tag in ["valid:", "invalid-zero", "refused:", "deferred"] {
+        assert!(verdicts.iter().any(|v| v.starts_with(tag)), "no {tag} verdict in {verdicts:?}");
+    }
+    assert!(audited.quarantine.contains(5), "ragged sender must be quarantined");
+    assert!(!audited.accepted.contains(&5));
+    assert!(audited.quarantine.contains(8), "refused manipulator must be quarantined");
+    assert!(audited.outcome.assignments().iter().all(|a| a.bidder.0 != 8));
+    let root: String = audited.ledger_root.unwrap().iter().map(|b| format!("{b:02x}")).collect();
+    assert_eq!(root, "a4b8b3bd10ef5bc9a864d04cd8bd72df1386902a75c6ffa2321f85e7bd001136");
+    assert_eq!(audited.fingerprint(), 0x22d4f597cd947e5);
+
+    let wire_config = SessionConfig {
+        backend: BackendKind::Hmac,
+        faults: FaultConfig::chaotic(),
+        ..SessionConfig::default()
+    };
+    let wired = lppa_session::run_wire_round(&ttp, wire_config, &submissions, 77).unwrap();
+    assert_eq!(wired.fingerprint(), 0x22da2e7a432f780e);
 }
