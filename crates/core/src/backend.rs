@@ -27,7 +27,6 @@ use std::collections::HashSet;
 
 use lppa_auction::allocation::{BidOracle, Grant};
 use lppa_auction::bidder::BidderId;
-use lppa_auction::conflict::ConflictGraph;
 use lppa_auction::outcome::{Assignment, AuctionOutcome};
 use lppa_auction::pricing::{greedy_allocate_traced, GrantTrace};
 use lppa_crypto::commit::{CommitmentLedger, LedgerEntry};
@@ -41,8 +40,9 @@ use lppa_spectrum::ChannelId;
 
 use crate::error::LppaError;
 use crate::ppbs::bid::AdvancedBidSubmission;
-use crate::ppbs::location::{build_conflict_graph, LocationSubmission};
-use crate::protocol::{AuctioneerModel, PrivateAuctionResult, SuSubmission};
+use crate::protocol::{
+    charge_request_for, masked_conflict_graph, AuctioneerModel, PrivateAuctionResult, SuSubmission,
+};
 use crate::ttp::{ChargeDecision, ChargeRequest, Ttp};
 
 /// A masked bid table whose comparisons run through a pluggable
@@ -87,7 +87,7 @@ impl BackendBidTable {
         Ok(Self {
             submissions,
             n_channels,
-            prune_plain_zeros: matches!(model, AuctioneerModel::IterativeCharging),
+            prune_plain_zeros: model.prunes_plain_zeros(),
             classes,
             kind,
         })
@@ -323,33 +323,16 @@ pub struct BackendAuctionResult {
     pub ledger: Option<CommitmentLedger>,
 }
 
-/// Builds the TTP charge request for one grant straight from the
-/// submissions (the backend table needs no [`crate::MaskedBidTable`]).
-///
-/// # Errors
-///
-/// [`LppaError::Internal`] if the grant indexes outside the bid table.
-pub fn charge_request_for(
-    submissions: &[AdvancedBidSubmission],
-    grant: &Grant,
-) -> Result<ChargeRequest, LppaError> {
-    let bid = submissions
-        .get(grant.bidder.0)
-        .and_then(|s| s.bids().get(grant.channel.0))
-        .ok_or_else(|| LppaError::Internal {
-            what: format!("grant ({}, {}) outside bid table", grant.bidder.0, grant.channel.0),
-        })?;
-    Ok(ChargeRequest {
-        channel: grant.channel,
-        sealed: bid.sealed.clone(),
-        point: bid.point.clone(),
-    })
-}
-
 /// Runs one complete private auction through the backend named by
 /// `kind`: conflict graph from masked locations, backend-probed
 /// allocation, first-price TTP charging, and Vickrey resettlement of
-/// the same grants. See [`run_private_auction_with_backend_graph`].
+/// the same grants.
+///
+/// The allocation replays [`greedy_allocate_traced`] over the backend
+/// table: for the exact backends this draws the same RNG sequence as
+/// the default pipeline's `greedy_allocate` and lands on bit-identical
+/// grants. Each grant is then settled twice — first price (the
+/// paper's rule) and Vickrey — against the same TTP.
 ///
 /// # Errors
 ///
@@ -363,31 +346,7 @@ pub fn run_private_auction_with_backend<R: Rng>(
     kind: BackendKind,
     rng: &mut R,
 ) -> Result<BackendAuctionResult, LppaError> {
-    let locations: Vec<LocationSubmission> =
-        submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    run_private_auction_with_backend_graph(submissions, conflicts, ttp, model, kind, rng)
-}
-
-/// [`run_private_auction_with_backend`] over a prebuilt conflict graph.
-///
-/// The allocation replays [`greedy_allocate_traced`] over the backend
-/// table: for the exact backends this draws the same RNG sequence as
-/// the default pipeline's `greedy_allocate` and lands on bit-identical
-/// grants. Each grant is then settled twice — first price (the
-/// paper's rule) and Vickrey — against the same TTP.
-///
-/// # Errors
-///
-/// As [`run_private_auction_with_backend`].
-pub fn run_private_auction_with_backend_graph<R: Rng>(
-    submissions: &[SuSubmission],
-    conflicts: ConflictGraph,
-    ttp: &Ttp,
-    model: AuctioneerModel,
-    kind: BackendKind,
-    rng: &mut R,
-) -> Result<BackendAuctionResult, LppaError> {
+    let conflicts = masked_conflict_graph(submissions);
     let bids: Vec<AdvancedBidSubmission> = submissions.iter().map(|s| s.bids.clone()).collect();
     let table = BackendBidTable::collect(kind, bids, model)?;
 
@@ -397,10 +356,7 @@ pub fn run_private_auction_with_backend_graph<R: Rng>(
     };
     if let Some(ledger) = ledger.as_mut() {
         for (i, s) in submissions.iter().enumerate() {
-            let mut payload = Vec::with_capacity(12);
-            payload.extend_from_slice(&(i as u32).to_le_bytes());
-            payload.extend_from_slice(&s.checksum().to_le_bytes());
-            ledger.append("submission", &payload);
+            ledger.append("submission", &submission_payload(i, s.checksum()));
         }
     }
 
@@ -432,7 +388,7 @@ pub fn run_private_auction_with_backend_graph<R: Rng>(
     }
     if let Some(ledger) = ledger.as_mut() {
         for (grant, decision) in grants.iter().zip(&decisions) {
-            ledger.append("charge", &decision_payload(grant, decision));
+            ledger.append("charge", &charge_payload(grant, Some(&Ok(*decision))));
         }
     }
 
@@ -455,7 +411,7 @@ pub fn run_private_auction_with_backend_graph<R: Rng>(
             ChargeDecision::InvalidZero => vickrey_invalid.push(trace.grant),
         }
         if let Some(ledger) = ledger.as_mut() {
-            ledger.append("vickrey", &decision_payload(&trace.grant, &decision));
+            ledger.append("vickrey", &charge_payload(&trace.grant, Some(&Ok(decision))));
         }
     }
 
@@ -480,22 +436,43 @@ pub fn run_private_auction_with_backend_graph<R: Rng>(
     })
 }
 
-fn grant_payload(grant: &Grant) -> [u8; 8] {
+/// Ledger payload of an accepted `"submission"` entry: the bidder's
+/// index (`u32` LE) then its transport checksum (`u64` LE).
+pub fn submission_payload(bidder: usize, checksum: u64) -> [u8; 12] {
+    let mut payload = [0u8; 12];
+    payload[..4].copy_from_slice(&(bidder as u32).to_le_bytes());
+    payload[4..].copy_from_slice(&checksum.to_le_bytes());
+    payload
+}
+
+/// Ledger payload of a `"grant"` entry: bidder then channel, each
+/// `u32` LE.
+pub fn grant_payload(grant: &Grant) -> [u8; 8] {
     let mut payload = [0u8; 8];
     payload[..4].copy_from_slice(&(grant.bidder.0 as u32).to_le_bytes());
     payload[4..].copy_from_slice(&(grant.channel.0 as u32).to_le_bytes());
     payload
 }
 
-fn decision_payload(grant: &Grant, decision: &ChargeDecision) -> [u8; 13] {
+/// Ledger payload of a `"charge"` (or `"vickrey"`) entry: the
+/// [`grant_payload`], a verdict tag, then the raw price (`u32` LE, zero
+/// unless the charge is valid). Tags: `0` invalid zero, `1` valid, `2`
+/// refused by the TTP, `3` deferred (`verdict` is `None`: the TTP never
+/// decided before the deadline).
+pub fn charge_payload(
+    grant: &Grant,
+    verdict: Option<&Result<ChargeDecision, LppaError>>,
+) -> [u8; 13] {
     let mut payload = [0u8; 13];
     payload[..8].copy_from_slice(&grant_payload(grant));
-    match decision {
-        ChargeDecision::Valid { raw_price } => {
+    match verdict {
+        Some(Ok(ChargeDecision::Valid { raw_price })) => {
             payload[8] = 1;
             payload[9..].copy_from_slice(&raw_price.to_le_bytes());
         }
-        ChargeDecision::InvalidZero => payload[8] = 0,
+        Some(Ok(ChargeDecision::InvalidZero)) => payload[8] = 0,
+        Some(Err(_)) => payload[8] = 2,
+        None => payload[8] = 3,
     }
     payload
 }

@@ -31,7 +31,7 @@
 //! A complete private auction with three bidders and two channels:
 //!
 //! ```
-//! use lppa::protocol::run_private_auction_from_bids;
+//! use lppa::protocol::{run_private_auction_from_bids_with_model, AuctioneerModel};
 //! use lppa::ttp::Ttp;
 //! use lppa::zero_replace::ZeroReplacePolicy;
 //! use lppa::LppaConfig;
@@ -49,7 +49,8 @@
 //!     (Location::new(90, 90), vec![25, 60]),
 //!     (Location::new(11, 11), vec![55, 10]),
 //! ];
-//! let result = run_private_auction_from_bids(&bidders, &ttp, &policy, &mut rng)?;
+//! let model = AuctioneerModel::default();
+//! let result = run_private_auction_from_bids_with_model(&bidders, &ttp, &policy, model, &mut rng)?;
 //! println!("revenue: {}", result.outcome.revenue());
 //! # Ok(())
 //! # }
@@ -75,9 +76,8 @@ pub mod zero_replace;
 
 pub use analysis::{cost_model, CostModel};
 pub use backend::{
-    backend_classes, bloom_probe_stats, charge_request_for, run_private_auction_with_backend,
-    run_private_auction_with_backend_graph, settle_ledger, BackendAuctionResult, BackendBidTable,
-    BloomProbeStats,
+    backend_classes, bloom_probe_stats, run_private_auction_with_backend, settle_ledger,
+    BackendAuctionResult, BackendBidTable, BloomProbeStats,
 };
 pub use config::LppaConfig;
 pub use error::LppaError;
@@ -85,11 +85,9 @@ pub use incremental::IncrementalAuctioneer;
 pub use ppbs::bid::{AdvancedBidSubmission, BasicBidSubmission, ChannelBid};
 pub use ppbs::location::{build_conflict_graph, LocationSubmission};
 pub use protocol::{
-    charge_requests, run_private_auction, run_private_auction_from_bids,
-    run_private_auction_from_bids_with_model, run_private_auction_tolerant,
-    run_private_auction_with_graph, run_private_auction_with_model, validate_submission,
+    charge_request_for, charge_requests, masked_conflict_graph,
+    run_private_auction_from_bids_with_model, run_private_auction_with_model, validate_submission,
     validate_submission_with, AuctioneerModel, PrivateAuctionResult, SuSubmission,
-    TolerantAuctionResult,
 };
 pub use psd::table::MaskedBidTable;
 pub use pseudonym::PseudonymPool;

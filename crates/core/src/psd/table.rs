@@ -17,6 +17,7 @@ use std::borrow::Borrow;
 
 use crate::error::LppaError;
 use crate::ppbs::bid::AdvancedBidSubmission;
+use crate::protocol::AuctioneerModel;
 
 /// All bidders' masked submissions, as the auctioneer stores them.
 #[derive(Clone, Debug)]
@@ -55,7 +56,7 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
     /// presented value is an undisguised zero are treated as absent.
     ///
     /// This models the iterative charging protocol
-    /// (`crate::protocol::AuctioneerModel::IterativeCharging`): whenever
+    /// ([`AuctioneerModel::IterativeCharging`]): whenever
     /// a plain zero wins, the TTP detects it (the winner's prefixes match
     /// its sealed zero-band value), reveals it, and the auctioneer
     /// strikes the cell and re-auctions the channel. Since a plain zero
@@ -65,7 +66,12 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
         Self::collect_inner(submissions, true, None)
     }
 
-    /// As [`Self::collect`], with *precomputed* per-channel tie classes
+    /// Collects the submissions the way `model` needs them: as
+    /// [`Self::collect`] for [`AuctioneerModel::Oblivious`], as
+    /// [`Self::collect_pruned`] for
+    /// [`AuctioneerModel::IterativeCharging`].
+    ///
+    /// `classes`, when given, are *precomputed* per-channel tie classes
     /// (see [`Self::classes`]) — for callers that maintain the channel
     /// orders incrementally across rounds (`crate::incremental`) and so
     /// skip the per-collect masked ranking sort.
@@ -74,24 +80,12 @@ impl<S: Borrow<AdvancedBidSubmission> + Sync> MaskedBidTable<S> {
     ///
     /// As for [`Self::collect`], plus [`LppaError::InvalidConfig`] if
     /// the class table is not `n_channels × n_bidders`.
-    pub fn collect_with_classes(
+    pub fn for_model(
+        model: AuctioneerModel,
         submissions: Vec<S>,
-        classes: Vec<Vec<u32>>,
+        classes: Option<Vec<Vec<u32>>>,
     ) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, false, Some(classes))
-    }
-
-    /// As [`Self::collect_pruned`], with precomputed tie classes; see
-    /// [`Self::collect_with_classes`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Self::collect_with_classes`].
-    pub fn collect_pruned_with_classes(
-        submissions: Vec<S>,
-        classes: Vec<Vec<u32>>,
-    ) -> Result<Self, LppaError> {
-        Self::collect_inner(submissions, true, Some(classes))
+        Self::collect_inner(submissions, model.prunes_plain_zeros(), classes)
     }
 
     fn collect_inner(

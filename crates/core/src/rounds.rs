@@ -84,7 +84,7 @@ impl RoundDriver {
     ///
     /// # Errors
     ///
-    /// As for [`crate::protocol::run_private_auction_from_bids`]; the
+    /// As for [`crate::protocol::run_private_auction_from_bids_with_model`]; the
     /// round counter only advances on success.
     pub fn run_round<R: Rng>(
         &mut self,

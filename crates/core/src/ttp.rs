@@ -207,22 +207,6 @@ impl Ttp {
         requests.iter().map(|r| self.open_charge(r)).collect()
     }
 
-    /// Fault-tolerant batch interface: one verdict per request, in
-    /// request order, where a bad request poisons only its own slot.
-    ///
-    /// Charging is a pure function of the request and the TTP's keys, so
-    /// decisions are *idempotent* (a duplicated request yields the same
-    /// verdict) and *order-independent* (reordering a batch permutes the
-    /// verdicts identically). Both properties matter over an unreliable
-    /// auctioneer↔TTP link, where retransmissions duplicate and reorder
-    /// requests; the test suite pins them down.
-    pub fn open_charges_tolerant(
-        &self,
-        requests: &[ChargeRequest],
-    ) -> Vec<Result<ChargeDecision, LppaError>> {
-        requests.iter().map(|r| self.open_charge(r)).collect()
-    }
-
     /// Sealed-bid second-price (Vickrey) charging: validates the
     /// `winner` exactly like [`Self::open_charge`], but prices the win
     /// at the *critical losing bid* — the maximum true raw value among
@@ -385,12 +369,18 @@ mod tests {
         );
     }
 
+    /// One verdict per request through the per-request primitive — the
+    /// shape `LocalTtp::decide` and the networked TTP serve.
+    fn verdicts(ttp: &Ttp, reqs: &[ChargeRequest]) -> Vec<Result<ChargeDecision, LppaError>> {
+        reqs.iter().map(|r| ttp.open_charge(r)).collect()
+    }
+
     #[test]
-    fn tolerant_batch_isolates_bad_requests() {
+    fn per_request_charging_isolates_bad_requests() {
         let (ttp, mut rng) = setup();
         let good = genuine_request(&ttp, ChannelId(0), 12, &mut rng);
         let unknown = ChargeRequest { channel: ChannelId(9), ..good.clone() };
-        let verdicts = ttp.open_charges_tolerant(&[good.clone(), unknown, good]);
+        let verdicts = verdicts(&ttp, &[good.clone(), unknown, good]);
         assert_eq!(verdicts.len(), 3);
         assert_eq!(verdicts[0], Ok(ChargeDecision::Valid { raw_price: 12 }));
         assert!(matches!(verdicts[1], Err(LppaError::ChannelCountMismatch { .. })));
@@ -413,13 +403,13 @@ mod tests {
             genuine_request(&ttp, ChannelId(1), 0, &mut rng),
             genuine_request(&ttp, ChannelId(2), 77, &mut rng),
         ];
-        let baseline = ttp.open_charges_tolerant(&reqs);
+        let baseline = verdicts(&ttp, &reqs);
         // Duplicate every request three times, interleaved.
         let mut duplicated = Vec::new();
         for _ in 0..3 {
             duplicated.extend(reqs.iter().cloned());
         }
-        let verdicts = ttp.open_charges_tolerant(&duplicated);
+        let verdicts = verdicts(&ttp, &duplicated);
         for (i, v) in verdicts.iter().enumerate() {
             assert_eq!(*v, baseline[i % reqs.len()], "copy {i} diverged");
         }
@@ -433,11 +423,11 @@ mod tests {
         let reqs: Vec<ChargeRequest> = (0..6)
             .map(|i| genuine_request(&ttp, ChannelId(i % 4), (i as u32) * 13 % 120, &mut rng))
             .collect();
-        let baseline = ttp.open_charges_tolerant(&reqs);
+        let baseline = verdicts(&ttp, &reqs);
         for rotation in 1..reqs.len() {
             let mut rotated = reqs.clone();
             rotated.rotate_left(rotation);
-            let verdicts = ttp.open_charges_tolerant(&rotated);
+            let verdicts = verdicts(&ttp, &rotated);
             for (i, v) in verdicts.iter().enumerate() {
                 assert_eq!(*v, baseline[(i + rotation) % reqs.len()], "rotation {rotation}");
             }

@@ -30,27 +30,23 @@
 use std::net::{SocketAddr, TcpListener};
 use std::thread;
 
-use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
-use lppa::protocol::{charge_requests, AuctioneerModel, SuSubmission};
-use lppa::psd::table::MaskedBidTable;
+use lppa::protocol::SuSubmission;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::wire::{
     decode_charge_request, decode_charge_verdict, encode_charge_request, encode_charge_verdict,
     verdict_of,
 };
 use lppa::{LppaConfig, LppaError};
-use lppa_auction::allocation::greedy_allocate;
-use lppa_rng::rngs::StdRng;
-use lppa_rng::SeedableRng;
 use lppa_session::frame::{
     decode_announce, decode_collect_closed, decode_settled, decode_sub_ack, decode_tick_done,
     decode_tick_start, encode_announce, encode_bye, encode_collect_closed, encode_hello,
     encode_settled, encode_sub_ack, encode_tick_start, Announce, FrameKind, Hello,
 };
 use lppa_session::{
-    derive_seeds, encode_submission_frame, finish_round, BidderSendState, ChargeBackend,
-    FrameTransport, Journal, JournalEntry, Phase, QuarantineReason, QuarantineReport,
-    SessionConfig, SessionOutcome, SimTransport, TransportStats, WireCollectEngine,
+    allocate_accepted, derive_seeds, encode_submission_frame, finish_round, BidderSendState,
+    ChargeBackend, FrameTransport, Journal, JournalEntry, Phase, QuarantineReason,
+    QuarantineReport, SessionConfig, SessionOutcome, SimTransport, TransportStats,
+    WireCollectEngine,
 };
 
 use crate::config::NetConfig;
@@ -430,17 +426,8 @@ pub fn serve_auctioneer(
         // CollectCommitted plus the collected submissions. The answered
         // charges are deliberately *not* persisted — resume re-requests
         // every slot and the TTP answers idempotently.
-        let locations: Vec<LocationSubmission> =
-            collected.accepted_submissions.iter().map(|s| s.location.clone()).collect();
-        let conflicts = build_conflict_graph(&locations);
-        let bids = collected.accepted_submissions.iter().map(|s| s.bids.clone()).collect();
-        let table = match spec.session.model {
-            AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-            AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-        };
-        let mut alloc_rng = StdRng::seed_from_u64(auction_seed);
-        let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-        let requests = charge_requests(&table, &grants)?;
+        let (_, _, requests) =
+            allocate_accepted(&spec.session, &collected.accepted_submissions, auction_seed)?;
         let mut remote = RemoteTtp::new(&mut peers.ttp);
         for request in requests.iter().take(served) {
             // Verdicts are discarded — the crash loses them.

@@ -745,15 +745,14 @@ fn backend_outcome_equivalence(run: &ScenarioRun) -> Result<(), String> {
     )
 }
 
-/// The pool-reuse grid: `LPPA_BACKEND ∈ {hmac, bloom, ledger}` × arena
-/// on/off must land on the same fingerprints.
+/// The pool-reuse grid: `LPPA_BACKEND ∈ {hmac, bloom, ledger}` × fresh
+/// vs warm scratch must land on the same fingerprints.
 ///
-/// "Arena on" is modelled explicitly (no env mutation): every
-/// submission is rebuilt through **one** shared [`MaskScratch`] — warmed
-/// by reclaiming a throwaway build first, so later builds genuinely
-/// check recycled sets out of the pool — and each backend then settles
-/// those pool-built submissions. The recorded `ScenarioRun` results are
-/// the arena-off side (fresh allocations everywhere). Checksums pin the
+/// The warm side rebuilds every submission through **one** shared
+/// [`MaskScratch`] — warmed by reclaiming a throwaway build first, so
+/// later builds genuinely check recycled sets out of the pool — and each
+/// backend then settles those pool-built submissions. The recorded
+/// `ScenarioRun` results are the fresh side (a new scratch per build). Checksums pin the
 /// builds, grant/assignment sets pin every backend's settlement; any
 /// state leaking from one bidder's build to the next, or from one
 /// backend's round to the next, shows up as a diff.

@@ -88,7 +88,8 @@ pub use frame::{
 pub use journal::{Journal, JournalEntry, Phase};
 pub use quarantine::{QuarantineReason, QuarantineReport};
 pub use session::{
-    derive_seeds, finish_round, AuctionSession, SessionConfig, SessionOutcome, SubmissionMsg,
+    allocate_accepted, derive_seeds, finish_round, AuctionSession, SessionConfig, SessionOutcome,
+    SubmissionMsg,
 };
 pub use transport::{FrameTransport, SimTransport, TransportStats};
 pub use ttp_link::{ChargeBackend, LocalTtp, TtpLink, TtpLinkConfig, TtpSchedule};

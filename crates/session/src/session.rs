@@ -27,9 +27,11 @@
 //! byte-identically, and the journal of an interrupted session can be
 //! [resumed](AuctionSession::resume) to the identical outcome.
 
-use lppa::backend::{charge_request_for, BackendBidTable};
-use lppa::ppbs::location::{build_conflict_graph, LocationSubmission};
-use lppa::protocol::{charge_requests, validate_submission, AuctioneerModel, SuSubmission};
+use lppa::backend::{charge_payload, grant_payload, submission_payload, BackendBidTable};
+use lppa::ppbs::bid::AdvancedBidSubmission;
+use lppa::protocol::{
+    charge_request_for, masked_conflict_graph, validate_submission, AuctioneerModel, SuSubmission,
+};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::LppaError;
@@ -458,6 +460,47 @@ impl<'a> AuctionSession<'a> {
     }
 }
 
+/// Phases 1–3 over a committed accepted set: the masked conflict
+/// graph, the bid table [`SessionConfig::model`] and
+/// [`SessionConfig::backend`] call for, the greedy allocation seeded
+/// from `auction_seed`, and one TTP charge request per grant — all over
+/// compact ids (indices into `accepted_submissions`).
+///
+/// [`finish_round`], the socket auctioneer's mid-charge crash and the
+/// wire-cost accounting all replay this one function, so they agree on
+/// the round's grants and charge set.
+///
+/// # Errors
+///
+/// [`LppaError::InvalidConfig`] for an empty accepted set,
+/// [`LppaError::ChannelCountMismatch`] for ragged channel counts.
+pub fn allocate_accepted(
+    config: &SessionConfig,
+    accepted_submissions: &[SuSubmission],
+    auction_seed: u64,
+) -> Result<(ConflictGraph, Vec<Grant>, Vec<ChargeRequest>), LppaError> {
+    let conflicts = masked_conflict_graph(accepted_submissions);
+    let bids: Vec<&AdvancedBidSubmission> = accepted_submissions.iter().map(|s| &s.bids).collect();
+    let mut rng = StdRng::seed_from_u64(auction_seed);
+    let grants = match config.backend {
+        BackendKind::Hmac => {
+            let table = MaskedBidTable::for_model(config.model, bids.clone(), None)?;
+            greedy_allocate(&table, &conflicts, &mut rng)
+        }
+        kind => {
+            // Probe the allocation through the selected backend. The
+            // exact backends replicate the hmac classes and RNG draws,
+            // so grants stay bit-identical; bloom may diverge within
+            // its configured false-positive budget.
+            let owned = bids.iter().map(|&b| b.clone()).collect();
+            let table = BackendBidTable::collect(kind, owned, config.model)?;
+            greedy_allocate(&table, &conflicts, &mut rng)
+        }
+    };
+    let requests = grants.iter().map(|g| charge_request_for(&bids, g)).collect::<Result<_, _>>()?;
+    Ok((conflicts, grants, requests))
+}
+
 /// Allocate + Charge + Settle over a committed accepted set, charging
 /// through any [`ChargeBackend`].
 ///
@@ -499,10 +542,8 @@ pub fn finish_round<B: ChargeBackend>(
         });
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Allocate, tick: start_tick });
-    let locations: Vec<LocationSubmission> =
-        accepted_submissions.iter().map(|s| s.location.clone()).collect();
-    let conflicts = build_conflict_graph(&locations);
-    let bids: Vec<_> = accepted_submissions.iter().map(|s| s.bids.clone()).collect();
+    let (conflicts, compact_grants, requests) =
+        allocate_accepted(config, accepted_submissions, auction_seed)?;
     // The ledger backend's audit chain is built from journal-recoverable
     // data only (accepted set, grants, charge verdicts), so a resumed
     // session replays to the byte-identical root.
@@ -510,50 +551,17 @@ pub fn finish_round<B: ChargeBackend>(
         BackendKind::Ledger => Some(CommitmentLedger::new()),
         _ => None,
     };
+    let to_original = |g: &Grant| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g };
     if let Some(ledger) = ledger.as_mut() {
         for (&original, submission) in accepted.iter().zip(accepted_submissions) {
-            let mut payload = [0u8; 12];
-            payload[..4].copy_from_slice(&(original as u32).to_le_bytes());
-            payload[4..].copy_from_slice(&submission.checksum().to_le_bytes());
-            ledger.append("submission", &payload);
+            ledger.append("submission", &submission_payload(original, submission.checksum()));
         }
     }
-    let mut alloc_rng = StdRng::seed_from_u64(auction_seed);
-    let (compact_grants, requests): (Vec<Grant>, Vec<ChargeRequest>) = match config.backend {
-        BackendKind::Hmac => {
-            let table = match config.model {
-                AuctioneerModel::Oblivious => MaskedBidTable::collect(bids)?,
-                AuctioneerModel::IterativeCharging => MaskedBidTable::collect_pruned(bids)?,
-            };
-            let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-            let requests = charge_requests(&table, &grants)?;
-            (grants, requests)
-        }
-        kind => {
-            // Probe the allocation through the selected backend. The
-            // exact backends replicate the hmac classes and RNG draws,
-            // so grants stay bit-identical; bloom may diverge within
-            // its configured false-positive budget.
-            let table = BackendBidTable::collect(kind, bids, config.model)?;
-            let grants = greedy_allocate(&table, &conflicts, &mut alloc_rng);
-            let requests = grants
-                .iter()
-                .map(|g| charge_request_for(table.submissions(), g))
-                .collect::<Result<_, _>>()?;
-            (grants, requests)
-        }
-    };
-    let to_original = |g: &Grant| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g };
-    for grant in &compact_grants {
-        journal.append(JournalEntry::GrantIssued {
-            bidder: accepted[grant.bidder.0],
-            channel: grant.channel.0,
-        });
+    for grant in compact_grants.iter().map(to_original) {
+        let (bidder, channel) = (grant.bidder.0, grant.channel.0);
+        journal.append(JournalEntry::GrantIssued { bidder, channel });
         if let Some(ledger) = ledger.as_mut() {
-            let mut payload = [0u8; 8];
-            payload[..4].copy_from_slice(&(accepted[grant.bidder.0] as u32).to_le_bytes());
-            payload[4..].copy_from_slice(&(grant.channel.0 as u32).to_le_bytes());
-            ledger.append("grant", &payload);
+            ledger.append("grant", &grant_payload(&grant));
         }
     }
 
@@ -621,20 +629,8 @@ pub fn finish_round<B: ChargeBackend>(
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Settle, tick });
     if let Some(ledger) = ledger.as_mut() {
         for (slot, grant) in compact_grants.iter().enumerate() {
-            let original = to_original(grant);
-            let mut payload = [0u8; 13];
-            payload[..4].copy_from_slice(&(original.bidder.0 as u32).to_le_bytes());
-            payload[4..8].copy_from_slice(&(original.channel.0 as u32).to_le_bytes());
-            match &link.decisions()[slot] {
-                Some(Ok(ChargeDecision::Valid { raw_price })) => {
-                    payload[8] = 1;
-                    payload[9..].copy_from_slice(&raw_price.to_le_bytes());
-                }
-                Some(Ok(ChargeDecision::InvalidZero)) => payload[8] = 0,
-                Some(Err(_)) => payload[8] = 2,
-                None => payload[8] = 3,
-            }
-            ledger.append("charge", &payload);
+            let verdict = link.decisions()[slot].as_ref();
+            ledger.append("charge", &charge_payload(&to_original(grant), verdict));
         }
     }
     // The audited backend replays its chain before the round commits.

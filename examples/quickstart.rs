@@ -9,7 +9,7 @@
 
 use lppa_rng::rngs::StdRng;
 use lppa_rng::SeedableRng;
-use lppa_suite::lppa::protocol::{run_private_auction, SuSubmission};
+use lppa_suite::lppa::protocol::{run_private_auction_with_model, AuctioneerModel, SuSubmission};
 use lppa_suite::lppa::ttp::Ttp;
 use lppa_suite::lppa::zero_replace::ZeroReplacePolicy;
 use lppa_suite::lppa::LppaConfig;
@@ -46,7 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Auctioneer + TTP: allocation over masked comparisons, then
     //    batch charging.
-    let result = run_private_auction(&submissions, &ttp, &mut rng)?;
+    let model = AuctioneerModel::default();
+    let result = run_private_auction_with_model(&submissions, &ttp, model, &mut rng)?;
 
     println!("\nconflict pairs seen by the auctioneer (from masked locations only):");
     for i in 0..users.len() {
