@@ -3,6 +3,8 @@
 //! round, the exact backends agree bit-for-bit, and the audited ledger
 //! backend's root survives crash-recovery replay.
 
+use std::collections::BTreeSet;
+
 use lppa::protocol::{build_submissions, AuctioneerModel, SuSubmission};
 use lppa::zero_replace::ZeroReplacePolicy;
 use lppa::{LppaConfig, Ttp};
@@ -13,6 +15,7 @@ use lppa_rng::{Rng, SeedableRng};
 use lppa_session::fault::FaultConfig;
 use lppa_session::session::{AuctionSession, SessionConfig};
 use lppa_session::ttp_link::{TtpLinkConfig, TtpSchedule};
+use lppa_session::{Journal, JournalEntry};
 
 fn fleet(n_bidders: usize, n_channels: usize, seed: u64) -> (Ttp, Vec<SuSubmission>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -109,16 +112,10 @@ fn ledger_root_is_deterministic_and_replays_on_resume() {
     assert_ne!(other.ledger_root, Some(root));
 }
 
-#[test]
-fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
-    // The determinism tests above compare runs against each other, so a
-    // change that moved a ledger payload byte (or any round decision)
-    // consistently everywhere would pass them. These literals pin the
-    // absolute values instead. The audited round carries a ragged
-    // sender (quarantined at collect), a price manipulator (its charge
-    // is refused and only its own grant struck), disguised zeros
-    // (invalidated charges) and a TTP that goes dark mid-charge
-    // (deferred charges), so the chain records every verdict tag.
+/// The pinned fleet: 12 bidders over 3 channels whose zeros always
+/// disguise as a high bid, bidder 5 ragged (quarantined at collect) and
+/// bidder 8 a price manipulator (its charge is refused).
+fn pinned_fleet() -> (Ttp, Vec<SuSubmission>) {
     let mut rng = StdRng::seed_from_u64(44);
     let ttp = Ttp::new(3, LppaConfig::default(), &mut rng).unwrap();
     // Zeros always disguise as a high bid, so disguised zeros win.
@@ -135,6 +132,44 @@ fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
     let mut submissions = build_submissions(&bidders, &ttp, &policy, &mut rng).unwrap();
     lppa_session::chaos::truncate_point(&mut submissions[5], 2, 3).unwrap();
     lppa_session::chaos::forge_presented_bid(&mut submissions[8], &ttp, 0, 125, &mut rng).unwrap();
+    (ttp, submissions)
+}
+
+/// The collect-phase journal entry kinds `journal` records, by name;
+/// quarantines split into `Rejected` and `MissedDeadline`.
+fn collect_kinds(journal: &Journal) -> BTreeSet<&'static str> {
+    journal
+        .entries()
+        .iter()
+        .filter_map(|e| match e {
+            JournalEntry::SubmissionAccepted { .. } => Some("SubmissionAccepted"),
+            JournalEntry::DuplicateIgnored { .. } => Some("DuplicateIgnored"),
+            JournalEntry::CorruptDiscarded { .. } => Some("CorruptDiscarded"),
+            JournalEntry::FrameRejected { .. } => Some("FrameRejected"),
+            JournalEntry::Quarantined { reason, .. }
+                if reason.starts_with("submission rejected") =>
+            {
+                Some("Rejected")
+            }
+            JournalEntry::Quarantined { reason, .. } if reason.starts_with("missed collect") => {
+                Some("MissedDeadline")
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
+    // The determinism tests above compare runs against each other, so a
+    // change that moved a ledger payload byte (or any round decision)
+    // consistently everywhere would pass them. These literals pin the
+    // absolute values instead. The audited round carries a ragged
+    // sender (quarantined at collect), a price manipulator (its charge
+    // is refused and only its own grant struck), disguised zeros
+    // (invalidated charges) and a TTP that goes dark mid-charge
+    // (deferred charges), so the chain records every verdict tag.
+    let (ttp, submissions) = pinned_fleet();
     let config = SessionConfig {
         backend: BackendKind::Ledger,
         faults: FaultConfig::chaotic(),
@@ -152,8 +187,8 @@ fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
         .entries()
         .iter()
         .filter_map(|e| match e {
-            lppa_session::JournalEntry::ChargeDecided { verdict, .. } => Some(verdict.clone()),
-            lppa_session::JournalEntry::ChargesDeferred { .. } => Some("deferred".into()),
+            JournalEntry::ChargeDecided { verdict, .. } => Some(verdict.clone()),
+            JournalEntry::ChargesDeferred { .. } => Some("deferred".into()),
             _ => None,
         })
         .collect();
@@ -167,6 +202,7 @@ fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
     let root: String = audited.ledger_root.unwrap().iter().map(|b| format!("{b:02x}")).collect();
     assert_eq!(root, "a4b8b3bd10ef5bc9a864d04cd8bd72df1386902a75c6ffa2321f85e7bd001136");
     assert_eq!(audited.fingerprint(), 0x22d4f597cd947e5);
+    assert_eq!(audited.journal.fingerprint(), 0x0698d4aaed84030c);
 
     let wire_config = SessionConfig {
         backend: BackendKind::Hmac,
@@ -175,4 +211,51 @@ fn audited_and_wire_rounds_are_pinned_to_exact_bytes() {
     };
     let wired = lppa_session::run_wire_round(&ttp, wire_config, &submissions, 77).unwrap();
     assert_eq!(wired.fingerprint(), 0x22da2e7a432f780e);
+    assert_eq!(wired.journal.fingerprint(), 0x2530ae3a770d9795);
+}
+
+#[test]
+fn lossy_collects_journal_every_collect_entry_kind_at_exact_bytes() {
+    // The pinned rounds above never miss the deadline or reject a frame.
+    // A lossy link with a tight deadline does both: some bidders never
+    // get an intact copy through (MissedDeadline), and frame-level
+    // corruption that lands in a header makes bytes no bidder can own
+    // (FrameRejected, wire only — typed corruption damages one tag).
+    let (ttp, submissions) = pinned_fleet();
+    let config = SessionConfig {
+        backend: BackendKind::Hmac,
+        faults: FaultConfig {
+            drop: 0.45,
+            duplicate: 0.3,
+            corrupt: 0.4,
+            delay: 0.4,
+            max_delay: 3,
+            reorder: true,
+        },
+        collect_deadline: 7,
+        max_retries: 2,
+        ..SessionConfig::default()
+    };
+    let typed = AuctionSession::new(&ttp, config).run(&submissions, 19).unwrap();
+    let wired = lppa_session::run_wire_round(&ttp, config, &submissions, 19).unwrap();
+    let typed_kinds = [
+        "SubmissionAccepted",
+        "DuplicateIgnored",
+        "CorruptDiscarded",
+        "Rejected",
+        "MissedDeadline",
+    ];
+    assert_eq!(
+        collect_kinds(&typed.journal),
+        typed_kinds.into_iter().collect(),
+        "{}",
+        typed.journal
+    );
+    let mut wire_kinds: BTreeSet<_> = typed_kinds.into_iter().collect();
+    wire_kinds.insert("FrameRejected");
+    assert_eq!(collect_kinds(&wired.journal), wire_kinds, "{}", wired.journal);
+    assert_eq!(typed.fingerprint(), 0xbdabc9510fbe0d59);
+    assert_eq!(typed.journal.fingerprint(), 0x404e1c92b6577eb6);
+    assert_eq!(wired.fingerprint(), 0x3e3dc8349529d23f);
+    assert_eq!(wired.journal.fingerprint(), 0xbfe998cd0f296acc);
 }
