@@ -453,6 +453,13 @@ pub fn encode_submission(
     }
 }
 
+/// The sender id a submission payload claims, read without decoding
+/// the rest; `None` if the payload is too short to carry one.
+pub fn submission_bidder(payload: &[u8]) -> Option<usize> {
+    let id = payload.get(..4)?.try_into().ok()?;
+    Some(u32::from_le_bytes(id) as usize)
+}
+
 /// Decodes (and structurally validates) a submission payload without
 /// allocating, computing the transport checksum along the way.
 ///

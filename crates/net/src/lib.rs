@@ -29,7 +29,7 @@ pub use config::NetConfig;
 pub use conn::{FramedConn, NetError, OwnedFrame, WireStats};
 pub use fixture::round_fixture;
 pub use round::{
-    merge_wire_stats, resume_from_checkpoint, resume_socket_round, run_bidder, run_socket_round,
-    run_socket_round_with_kill, serve_auctioneer, serve_ttp, AuctioneerCheckpoint, AuctioneerRun,
-    KillPoint, RemoteTtp, RoundSpec,
+    resume_socket_round, run_bidder, run_socket_round, run_socket_round_with_kill,
+    serve_auctioneer, serve_ttp, AuctioneerCheckpoint, AuctioneerRun, KillPoint, RemoteTtp,
+    RoundSpec,
 };

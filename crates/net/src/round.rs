@@ -7,10 +7,11 @@
 //! values:
 //!
 //! * **Bytes** — bidders send [`encode_submission_frame`] output
-//!   verbatim over TCP; the auctioneer feeds the received bytes into
-//!   the same seeded chaos ingress ([`SimTransport<Vec<u8>>`]) the
-//!   simulation uses, so drops/duplicates/corruption/delays replay the
-//!   identical schedule.
+//!   verbatim over TCP, and the auctioneer runs the simulation's own
+//!   collect loop, [`lppa_session::collect_frames`], over them: the
+//!   socket supplies only the frames and carries the acks back, so the
+//!   same seeded chaos ingress replays the identical
+//!   drop/duplicate/corruption/delay schedule.
 //! * **Order** — a lockstep tick protocol (`TickStart` → at most one
 //!   submission per bidder → `TickDone` barrier) lets the auctioneer
 //!   ingest each tick's sends sorted by bidder index, which is exactly
@@ -22,19 +23,19 @@
 //!   process.
 //!
 //! A socket session killed mid-phase resumes from its journal (plus
-//! the collected submissions) to the byte-identical fingerprint — the
-//! oracle's `wire_socket_equivalence` invariant and the CI `net-smoke`
-//! job both enforce this against the [`lppa_session::run_wire_round`]
-//! reference.
+//! the collected submissions) through [`lppa_session::resume_round`] to
+//! the byte-identical fingerprint — the oracle's
+//! `wire_socket_equivalence` invariant and the CI `net-smoke` job both
+//! enforce this against the [`lppa_session::run_wire_round`] reference.
 
 use std::net::{SocketAddr, TcpListener};
-use std::thread;
+use std::thread::{self, ScopedJoinHandle};
 
 use lppa::protocol::SuSubmission;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::wire::{
     decode_charge_request, decode_charge_verdict, encode_charge_request, encode_charge_verdict,
-    verdict_of,
+    submission_bidder, verdict_of,
 };
 use lppa::{LppaConfig, LppaError};
 use lppa_session::frame::{
@@ -43,14 +44,13 @@ use lppa_session::frame::{
     encode_settled, encode_sub_ack, encode_tick_start, Announce, FrameKind, Hello,
 };
 use lppa_session::{
-    allocate_accepted, derive_seeds, encode_submission_frame, finish_round, BidderSendState,
-    ChargeBackend, FrameTransport, Journal, JournalEntry, Phase, QuarantineReason,
-    QuarantineReport, SessionConfig, SessionOutcome, SimTransport, TransportStats,
-    WireCollectEngine,
+    allocate_accepted, collect_frames, commit_collect, derive_seeds, encode_submission_frame,
+    finish_round, resume_round, BidderSendState, ChargeBackend, FrameIo, Journal, JournalEntry,
+    Phase, SessionConfig, SessionOutcome, SubmissionAck, WireCollectEngine,
 };
 
 use crate::config::NetConfig;
-use crate::conn::{FramedConn, NetError, WireStats};
+use crate::conn::{FramedConn, NetError};
 
 impl From<LppaError> for NetError {
     fn from(err: LppaError) -> Self {
@@ -304,6 +304,81 @@ fn accept_peers(
     Ok(Peers { bidders, ttp })
 }
 
+/// The socket side of the shared wire collect: the lockstep tick
+/// protocol over the bidder connections, indexed by bidder id.
+struct SocketBidders<'a> {
+    conns: &'a mut [FramedConn],
+    kill: Option<KillPoint>,
+}
+
+impl FrameIo for SocketBidders<'_> {
+    /// `None` is the simulated crash at [`KillPoint::MidCollect`].
+    type Error = Option<NetError>;
+
+    fn frames(&mut self, tick: u64, sends: &[Option<u32>]) -> Result<Vec<Vec<u8>>, Self::Error> {
+        if self.kill == Some(KillPoint::MidCollect { tick }) {
+            return Err(None);
+        }
+        self.gather(tick, sends).map_err(Some)
+    }
+
+    fn ack(&mut self, ack: SubmissionAck) -> Result<(), Self::Error> {
+        let payload = encode_sub_ack(ack.bidder as u32, ack.accepted);
+        self.conns[ack.bidder].send(FrameKind::SubAck, &payload).map_err(Some)?;
+        Ok(())
+    }
+}
+
+impl SocketBidders<'_> {
+    /// Opens `tick` and gathers its sends: each bidder answers with at
+    /// most one submission frame, then its `TickDone` barrier. Iterating
+    /// bidders in index order yields exactly the simulation's send
+    /// order. A frame outside the bidder's schedule, or stamped with
+    /// another bidder's id, is a protocol violation.
+    fn gather(&mut self, tick: u64, sends: &[Option<u32>]) -> Result<Vec<Vec<u8>>, NetError> {
+        for conn in self.conns.iter_mut() {
+            conn.send(FrameKind::TickStart, &encode_tick_start(tick))?;
+        }
+        let mut frames = Vec::new();
+        for (i, conn) in self.conns.iter_mut().enumerate() {
+            loop {
+                let frame = conn.recv()?;
+                match frame.kind {
+                    FrameKind::TickDone => {
+                        let (done_tick, bidder) = decode_tick_done(&frame.payload)?;
+                        if done_tick != tick || bidder as usize != i {
+                            return Err(NetError::Protocol(format!(
+                                "bidder {i} barrier out of step: tick {done_tick}, id {bidder}"
+                            )));
+                        }
+                        break;
+                    }
+                    FrameKind::Submission => {
+                        if sends[i].is_none() {
+                            return Err(NetError::Protocol(format!(
+                                "bidder {i} sent outside its schedule at tick {tick}"
+                            )));
+                        }
+                        if let Some(claimed) = submission_bidder(&frame.payload).filter(|&c| c != i)
+                        {
+                            return Err(NetError::Protocol(format!(
+                                "bidder {i} sent a submission stamped bidder {claimed}"
+                            )));
+                        }
+                        frames.push(frame.raw);
+                    }
+                    other => {
+                        return Err(NetError::Protocol(format!(
+                            "bidder {i} sent {other:?} during collect"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(frames)
+    }
+}
+
 /// The auctioneer's side of one socket round. Holds no TTP keys — only
 /// the public [`RoundSpec`] — and charges through the connected TTP
 /// node. `kill` simulates a crash at the given point.
@@ -331,92 +406,25 @@ pub fn serve_auctioneer(
     }
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
 
-    // The seeded chaos ingress: every received submission frame passes
-    // through it, so the socket round suffers exactly the simulated
-    // round's drop/duplicate/corrupt/delay schedule.
-    let mut ingress: SimTransport<Vec<u8>> = SimTransport::new(spec.session.faults, transport_seed);
-    let mut engine = WireCollectEngine::new(n, spec.n_channels, spec.lppa);
-    let mut mirrors = vec![BidderSendState::new(); n];
-
-    for tick in 0..=spec.session.collect_deadline {
-        if kill == Some(KillPoint::MidCollect { tick }) {
+    // The shared wire collect: every received submission frame passes
+    // through the same seeded chaos ingress as the simulation, so the
+    // socket round suffers exactly the simulated round's
+    // drop/duplicate/corrupt/delay schedule.
+    let engine = WireCollectEngine::new(n, spec.n_channels, spec.lppa);
+    let mut io = SocketBidders { conns: &mut peers.bidders, kill };
+    let (collected, stats) =
+        match collect_frames(&spec.session, engine, transport_seed, &mut journal, &mut io) {
+            Ok(collected) => collected,
             // Crash: drop every connection on the floor. Nothing was
             // committed, so the documented recovery is a rerun from the
             // same seed.
-            return Ok(AuctioneerRun::KilledInCollect);
-        }
-        // Mirror each bidder's deterministic send schedule so the
-        // deadline quarantine can count attempts without trusting the
-        // wire.
-        let expecting: Vec<bool> =
-            mirrors.iter_mut().map(|m| m.should_send(tick, &spec.session).is_some()).collect();
-        for conn in &mut peers.bidders {
-            conn.send(FrameKind::TickStart, &encode_tick_start(tick))?;
-        }
-        // Gather this tick's sends: each bidder answers with at most
-        // one submission frame, then its TickDone barrier. Iterating
-        // bidders in index order feeds the ingress in exactly the
-        // simulation's send order.
-        for (i, conn) in peers.bidders.iter_mut().enumerate() {
-            loop {
-                let frame = conn.recv()?;
-                match frame.kind {
-                    FrameKind::TickDone => {
-                        let (done_tick, bidder) = decode_tick_done(&frame.payload)?;
-                        if done_tick != tick || bidder as usize != i {
-                            return Err(NetError::Protocol(format!(
-                                "bidder {i} barrier out of step: tick {done_tick}, id {bidder}"
-                            )));
-                        }
-                        break;
-                    }
-                    FrameKind::Submission => {
-                        if !expecting[i] {
-                            return Err(NetError::Protocol(format!(
-                                "bidder {i} sent outside its schedule at tick {tick}"
-                            )));
-                        }
-                        ingress.send_frame(tick, frame.raw);
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "bidder {i} sent {other:?} during collect"
-                        )));
-                    }
-                }
-            }
-        }
-        // Deliver whatever the chaos schedule releases this tick and
-        // ack the settled bidders (accepted or rejected — both stop
-        // the resend loop, next tick, on both sides of the wire).
-        for bytes in ingress.poll_frames(tick) {
-            if let Some(ack) = engine.ingest(tick, &bytes, &mut journal) {
-                mirrors[ack.bidder].mark_done();
-                peers.bidders[ack.bidder]
-                    .send(FrameKind::SubAck, &encode_sub_ack(ack.bidder as u32, ack.accepted))?;
-            }
-        }
-    }
-    ingress.flush_frames();
-    let stats: TransportStats = ingress.frame_stats();
-    let attempts: Vec<u32> = mirrors.iter().map(BidderSendState::attempts).collect();
-    let collected = engine.close(&attempts, &mut journal);
-
-    let required = spec.session.min_accepted.max(1);
-    if collected.accepted.len() < required {
-        return Err(
-            LppaError::QuorumNotReached { accepted: collected.accepted.len(), required }.into()
-        );
-    }
-    let end_tick = spec.session.collect_deadline;
-    journal.append(JournalEntry::CollectCommitted {
-        accepted: collected.accepted.clone(),
-        auction_seed,
-        ttp_seed,
-        tick: end_tick,
-    });
+            Err(None) => return Ok(AuctioneerRun::KilledInCollect),
+            Err(Some(err)) => return Err(err),
+        };
+    commit_collect(&spec.session, &collected.accepted, auction_seed, ttp_seed, &mut journal)?;
+    let closed = encode_collect_closed(spec.session.collect_deadline);
     for conn in &mut peers.bidders {
-        conn.send(FrameKind::CollectClosed, &encode_collect_closed(end_tick))?;
+        conn.send(FrameKind::CollectClosed, &closed)?;
     }
 
     if let Some(KillPoint::MidCharge { served }) = kill {
@@ -440,19 +448,8 @@ pub fn serve_auctioneer(
         }));
     }
 
-    let outcome = finish_round(
-        &spec.session,
-        RemoteTtp::new(&mut peers.ttp),
-        n,
-        collected.accepted,
-        &collected.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        end_tick,
-        journal,
-        collected.quarantine,
-        stats,
-    )?;
+    let backend = RemoteTtp::new(&mut peers.ttp);
+    let outcome = finish_round(&spec.session, backend, n, collected, journal, stats)?;
     let fingerprint = outcome.fingerprint();
     for conn in &mut peers.bidders {
         conn.send(FrameKind::Settled, &encode_settled(fingerprint))?;
@@ -462,49 +459,24 @@ pub fn serve_auctioneer(
     Ok(AuctioneerRun::Settled(Box::new(outcome)))
 }
 
-/// Resumes a socket session from an [`AuctioneerCheckpoint`] over a
-/// fresh TTP connection: quarantine decisions are recovered from the
-/// journal prefix, the allocation and charge phases replay from the
-/// committed seeds, and every charge slot — including any the crashed
-/// run already asked about — is re-requested idempotently.
-///
-/// # Errors
-///
-/// A checkpoint without a committed collect phase, or link/session
-/// failures.
-pub fn resume_from_checkpoint<B: ChargeBackend>(
-    checkpoint: &AuctioneerCheckpoint,
-    session: &SessionConfig,
-    n_bidders: usize,
-    backend: B,
-) -> Result<SessionOutcome, NetError> {
-    let prefix = checkpoint.journal.prefix_through_collect().ok_or_else(|| {
-        NetError::Protocol("checkpoint journal has no committed collect phase".into())
-    })?;
-    let (accepted, auction_seed, ttp_seed, tick) = prefix
-        .collect_snapshot()
-        .ok_or_else(|| NetError::Protocol("journal prefix lost its collect commitment".into()))?;
-    let accepted = accepted.to_vec();
-    if accepted != checkpoint.accepted {
-        return Err(NetError::Protocol("checkpoint accepted set disagrees with journal".into()));
+/// The in-process TTP node: connects to `addr`, introduces itself and
+/// serves charge requests until the auctioneer says `Bye`.
+fn loopback_ttp_node(addr: SocketAddr, ttp: &Ttp, net: &NetConfig) -> Result<u64, NetError> {
+    let mut conn = FramedConn::connect(addr, net)?;
+    conn.send(FrameKind::Hello, &encode_hello(Hello { role: 1, id: 0 }))?;
+    serve_ttp(&mut conn, ttp)
+}
+
+/// Joins a peer thread, naming the peer in any failure.
+fn join_peer<T>(
+    peer: &str,
+    handle: ScopedJoinHandle<'_, Result<T, NetError>>,
+) -> Result<(), NetError> {
+    match handle.join() {
+        Ok(Ok(_)) => Ok(()),
+        Ok(Err(err)) => Err(NetError::Protocol(format!("{peer} failed: {err}"))),
+        Err(_) => Err(NetError::Protocol(format!("{peer} panicked"))),
     }
-    let mut quarantine = QuarantineReport::new();
-    for (bidder, reason) in prefix.quarantine_events() {
-        quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
-    }
-    Ok(finish_round(
-        session,
-        backend,
-        n_bidders,
-        accepted,
-        &checkpoint.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        tick,
-        prefix,
-        quarantine,
-        TransportStats::default(),
-    )?)
 }
 
 /// Runs one complete round over loopback sockets: binds a listener,
@@ -562,40 +534,30 @@ pub fn run_socket_round_with_kill(
                 scope.spawn(move || run_bidder(addr, id, submission, session, net))
             })
             .collect();
-        let ttp_handle = scope.spawn(move || {
-            let mut conn = FramedConn::connect(addr, net)?;
-            conn.send(FrameKind::Hello, &encode_hello(Hello { role: 1, id: 0 }))?;
-            serve_ttp(&mut conn, ttp)
-        });
+        let ttp_handle = scope.spawn(move || loopback_ttp_node(addr, ttp, net));
         let run = serve_auctioneer(&listener, &spec, net, kill);
         // A killed auctioneer dropped its connections; every peer
         // unwinds through `Closed`. Joining keeps the scope clean and
         // surfaces genuine peer errors.
         for (id, handle) in bidder_handles.into_iter().enumerate() {
-            match handle.join() {
-                Ok(Ok(_)) => {}
-                Ok(Err(err)) => {
-                    return Err(NetError::Protocol(format!("bidder {id} failed: {err}")))
-                }
-                Err(_) => return Err(NetError::Protocol(format!("bidder {id} panicked"))),
-            }
+            join_peer(&format!("bidder {id}"), handle)?;
         }
-        match ttp_handle.join() {
-            Ok(Ok(_served)) => {}
-            Ok(Err(err)) => return Err(NetError::Protocol(format!("ttp node failed: {err}"))),
-            Err(_) => return Err(NetError::Protocol("ttp node panicked".into())),
-        }
+        join_peer("ttp node", ttp_handle)?;
         run
     })
 }
 
-/// Resumes a killed socket session over a fresh loopback TTP
-/// connection — the full recovery path: new listener, new TTP node
-/// thread, every charge slot re-requested.
+/// Resumes a killed socket session from its [`AuctioneerCheckpoint`]
+/// over a fresh loopback TTP connection — the full recovery path: new
+/// listener, new TTP node thread, quarantine decisions recovered from
+/// the journal prefix, and every charge slot (including any the crashed
+/// run already asked about) re-requested idempotently through
+/// [`resume_round`].
 ///
 /// # Errors
 ///
-/// As [`resume_from_checkpoint`].
+/// A checkpoint without a committed collect phase, or whose accepted
+/// set disagrees with its journal; link and session failures.
 pub fn resume_socket_round(
     ttp: &Ttp,
     session: SessionConfig,
@@ -606,11 +568,7 @@ pub fn resume_socket_round(
     let listener = TcpListener::bind((net.addr.as_str(), net.port)).map_err(NetError::Io)?;
     let addr = listener.local_addr().map_err(NetError::Io)?;
     thread::scope(|scope| {
-        let ttp_handle = scope.spawn(move || {
-            let mut conn = FramedConn::connect(addr, net)?;
-            conn.send(FrameKind::Hello, &encode_hello(Hello { role: 1, id: 0 }))?;
-            serve_ttp(&mut conn, ttp)
-        });
+        let ttp_handle = scope.spawn(move || loopback_ttp_node(addr, ttp, net));
         let (stream, _) = listener.accept().map_err(NetError::from)?;
         let mut conn = FramedConn::from_stream(stream, net)?;
         let hello_frame = conn.expect(FrameKind::Hello)?;
@@ -618,24 +576,18 @@ pub fn resume_socket_round(
         if hello.role != 1 {
             return Err(NetError::Protocol("resume expected a TTP node".into()));
         }
-        let outcome =
-            resume_from_checkpoint(checkpoint, &session, n_bidders, RemoteTtp::new(&mut conn));
+        let backend = RemoteTtp::new(&mut conn);
+        let outcome = resume_round(&session, backend, n_bidders, &checkpoint.journal, |accepted| {
+            if accepted != checkpoint.accepted {
+                return Err(LppaError::Internal {
+                    what: "checkpoint accepted set disagrees with journal".into(),
+                });
+            }
+            Ok(checkpoint.accepted_submissions.clone())
+        })
+        .map_err(NetError::from);
         conn.send(FrameKind::Bye, &encode_bye(0))?;
-        match ttp_handle.join() {
-            Ok(Ok(_)) => {}
-            Ok(Err(err)) => return Err(NetError::Protocol(format!("ttp node failed: {err}"))),
-            Err(_) => return Err(NetError::Protocol("ttp node panicked".into())),
-        }
+        join_peer("ttp node", ttp_handle)?;
         outcome
     })
-}
-
-/// Aggregate wire counters helper for reporting bins: merges per-peer
-/// [`WireStats`] into one record.
-pub fn merge_wire_stats<'a>(stats: impl IntoIterator<Item = &'a WireStats>) -> WireStats {
-    let mut total = WireStats::default();
-    for s in stats {
-        total.merge(s);
-    }
-    total
 }

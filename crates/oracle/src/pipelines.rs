@@ -341,7 +341,7 @@ impl ScenarioRun {
         )?;
 
         let session = Self::run_session(&scenario, &ttp, &submissions)?;
-        let wire = Self::run_wire(&scenario, &ttp, &submissions)?;
+        let wire = Self::run_wire_probe(&scenario, &ttp, &submissions)?;
         let tag_kernel = Self::run_tag_kernel(&scenario, &ttp);
         let service = Self::run_service(&scenario)?;
         let churn = Self::run_churn(&scenario)?;
@@ -562,7 +562,7 @@ impl ScenarioRun {
     /// Runs the wire/socket probe: the simulated binary-frame round as
     /// reference, a loopback socket round that must reproduce it, and a
     /// mid-charge-killed socket round resumed from its checkpoint.
-    fn run_wire(
+    fn run_wire_probe(
         scenario: &Scenario,
         ttp: &Ttp,
         submissions: &[SuSubmission],

@@ -15,6 +15,11 @@
 //!   (quorum-configurable); malformed or manipulated submissions are
 //!   quarantined per bidder ([`quarantine::QuarantineReport`]) instead
 //!   of failing the round.
+//! * [`wire_round`] — the one collect path under every round driver
+//!   (typed session, simulated wire round, `lppa-net` socket round): the
+//!   [`BidderSendState`] schedule, the [`WireCollectEngine`] admit step
+//!   and the [`collect_frames`] tick loop, then [`commit_collect`],
+//!   [`finish_round`] and, after a crash, [`resume_round`].
 //! * [`ttp_link::TtpLink`] — the periodically-online TTP of §V.C.2 as
 //!   an availability schedule: charge requests queue while the TTP is
 //!   away, drain in batches on reconnect, retry with backoff, and
@@ -88,12 +93,12 @@ pub use frame::{
 pub use journal::{Journal, JournalEntry, Phase};
 pub use quarantine::{QuarantineReason, QuarantineReport};
 pub use session::{
-    allocate_accepted, derive_seeds, finish_round, AuctionSession, SessionConfig, SessionOutcome,
-    SubmissionMsg,
+    allocate_accepted, commit_collect, derive_seeds, finish_round, resume_round, AuctionSession,
+    SessionConfig, SessionOutcome, SubmissionMsg,
 };
-pub use transport::{FrameTransport, SimTransport, TransportStats};
+pub use transport::{SimTransport, TransportStats};
 pub use ttp_link::{ChargeBackend, LocalTtp, TtpLink, TtpLinkConfig, TtpSchedule};
 pub use wire_round::{
-    encode_submission_frame, run_wire_round, BidderSendState, SubmissionAck, WireCollectEngine,
-    WireCollectResult,
+    collect_frames, encode_submission_frame, run_wire_round, BidderSendState, FrameIo,
+    SubmissionAck, WireCollectEngine, WireCollectResult,
 };

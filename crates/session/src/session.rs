@@ -5,13 +5,14 @@
 //! the unreliable [`SimTransport`] link and the periodically-online
 //! [`TtpLink`]. Every failure is handled per bidder:
 //!
-//! * **Collect**: each bidder retries with exponential backoff until the
-//!   collect deadline; corrupt deliveries (checksum mismatch) are
-//!   discarded and retransmissions cover them; bidders whose submission
-//!   never arrives intact are quarantined as `MissedDeadline`; ragged or
-//!   truncated submissions are quarantined as `Rejected`. The phase
-//!   commits with whoever made the deadline, provided the configured
-//!   quorum is met.
+//! * **Collect**: each bidder retries on the shared [`BidderSendState`]
+//!   backoff schedule until the collect deadline, and the shared
+//!   [`WireCollectEngine`] admits every delivery: corrupt copies
+//!   (checksum mismatch) are discarded and retransmissions cover them;
+//!   bidders whose submission never arrives intact are quarantined as
+//!   `MissedDeadline`; ragged or truncated submissions are quarantined as
+//!   `Rejected`. [`commit_collect`] commits with whoever made the
+//!   deadline, provided the configured quorum is met.
 //! * **Allocate**: the greedy allocation runs over the accepted subset,
 //!   seeded from the session seed — independent of transport timing.
 //! * **Charge**: sealed winning bids drain through the [`TtpLink`] queue
@@ -25,13 +26,11 @@
 //! All randomness — fault schedule, allocation tie-breaks, TTP
 //! connection flaps — derives from one seed, so a session replays
 //! byte-identically, and the journal of an interrupted session can be
-//! [resumed](AuctionSession::resume) to the identical outcome.
+//! [resumed](resume_round) to the identical outcome.
 
 use lppa::backend::{charge_payload, grant_payload, submission_payload, BackendBidTable};
 use lppa::ppbs::bid::AdvancedBidSubmission;
-use lppa::protocol::{
-    charge_request_for, masked_conflict_graph, validate_submission, AuctioneerModel, SuSubmission,
-};
+use lppa::protocol::{charge_request_for, masked_conflict_graph, AuctioneerModel, SuSubmission};
 use lppa::psd::table::MaskedBidTable;
 use lppa::ttp::{ChargeDecision, ChargeRequest, Ttp};
 use lppa::LppaError;
@@ -49,6 +48,7 @@ use crate::journal::{Journal, JournalEntry, Phase};
 use crate::quarantine::{QuarantineReason, QuarantineReport};
 use crate::transport::{SimTransport, TransportStats};
 use crate::ttp_link::{ChargeBackend, LocalTtp, TtpLink, TtpLinkConfig, TtpSchedule};
+use crate::wire_round::{BidderSendState, WireCollectEngine, WireCollectResult};
 
 /// Tuning for one auction session.
 #[derive(Clone, Copy, Debug)]
@@ -199,14 +199,6 @@ pub fn derive_seeds(seed: u64) -> (u64, u64, u64) {
     (transport_seed, auction_seed, ttp_seed)
 }
 
-/// What the collect phase produced.
-struct CollectResult {
-    accepted: Vec<usize>,
-    quarantine: QuarantineReport,
-    stats: TransportStats,
-    end_tick: u64,
-}
-
 /// A fault-tolerant auction session over `ttp`.
 #[derive(Debug)]
 pub struct AuctionSession<'a> {
@@ -235,229 +227,167 @@ impl<'a> AuctionSession<'a> {
         submissions: &[SuSubmission],
         seed: u64,
     ) -> Result<SessionOutcome, LppaError> {
-        let (transport_seed, auction_seed, ttp_seed) = derive_seeds(seed);
-
-        let mut journal = Journal::new();
-        journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
-        journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
-
-        let collect = self.collect(submissions, transport_seed, &mut journal);
-        let required = self.config.min_accepted.max(1);
-        if collect.accepted.len() < required {
-            return Err(LppaError::QuorumNotReached { accepted: collect.accepted.len(), required });
-        }
-        journal.append(JournalEntry::CollectCommitted {
-            accepted: collect.accepted.clone(),
-            auction_seed,
-            ttp_seed,
-            tick: collect.end_tick,
-        });
-
-        self.finish(
-            submissions,
-            collect.accepted,
-            auction_seed,
-            ttp_seed,
-            collect.end_tick,
-            journal,
-            collect.quarantine,
-            collect.stats,
-        )
-    }
-
-    /// As [`Self::run`], but over *encoded bytes*: submissions travel
-    /// as framed wire messages through the simulated chaos link. See
-    /// [`crate::wire_round::run_wire_round`] — this is the in-process
-    /// reference for the socket transport's determinism gate.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::run`].
-    pub fn run_wire(
-        &self,
-        submissions: &[SuSubmission],
-        seed: u64,
-    ) -> Result<SessionOutcome, LppaError> {
-        crate::wire_round::run_wire_round(self.ttp, self.config, submissions, seed)
+        run_local(self.ttp, &self.config, submissions.len(), seed, |transport_seed, journal| {
+            self.collect(submissions, transport_seed, journal)
+        })
     }
 
     /// Recovers an interrupted session from its journal and replays the
-    /// remaining phases to the identical outcome.
-    ///
-    /// `journal` must contain the `CollectCommitted` entry (everything
-    /// after it is discarded and regenerated); a session interrupted
-    /// before collect committed holds no decisions worth recovering —
-    /// rerun it. `submissions` must be the same slice the original run
-    /// collected. Transport counters cannot be reconstructed, so
-    /// [`SessionOutcome::stats`] is zeroed; every fingerprinted field
-    /// matches the original run exactly.
+    /// remaining phases to the identical outcome (see [`resume_round`]).
+    /// `submissions` must be the same slice the original run collected.
     ///
     /// # Errors
     ///
-    /// [`LppaError::Internal`] if the journal has no committed collect
-    /// phase or references bidders outside `submissions`.
+    /// As [`resume_round`], plus [`LppaError::Internal`] if the journal
+    /// references bidders outside `submissions`.
     pub fn resume(
         &self,
         submissions: &[SuSubmission],
         journal: &Journal,
     ) -> Result<SessionOutcome, LppaError> {
-        let prefix = journal.prefix_through_collect().ok_or_else(|| LppaError::Internal {
-            what: "journal has no committed collect phase to resume from".into(),
-        })?;
-        let (accepted, auction_seed, ttp_seed, tick) =
-            prefix.collect_snapshot().ok_or_else(|| LppaError::Internal {
-                what: "journal prefix lost its collect commitment".into(),
-            })?;
-        let accepted = accepted.to_vec();
-        if let Some(&bad) = accepted.iter().find(|&&i| i >= submissions.len()) {
-            return Err(LppaError::Internal {
-                what: format!("journal accepts bidder {bad} outside the submission set"),
-            });
-        }
-        let mut quarantine = QuarantineReport::new();
-        for (bidder, reason) in prefix.quarantine_events() {
-            quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
-        }
-        self.finish(
-            submissions,
-            accepted,
-            auction_seed,
-            ttp_seed,
-            tick,
-            prefix,
-            quarantine,
-            TransportStats::default(),
-        )
+        resume_round(&self.config, LocalTtp(self.ttp), submissions.len(), journal, |accepted| {
+            let pick = |&i: &usize| {
+                submissions.get(i).cloned().ok_or_else(|| LppaError::Internal {
+                    what: format!("journal accepts bidder {i} outside the submission set"),
+                })
+            };
+            accepted.iter().map(pick).collect()
+        })
     }
 
-    /// The collect phase: per-bidder submission over the faulty link
-    /// with retry/backoff and a hard deadline.
+    /// The typed collect: [`SubmissionMsg`] structs through the chaos
+    /// link, whose corruption damages one tag
+    /// ([`crate::chaos::corrupt_in_flight`]), on the shared
+    /// [`BidderSendState`] schedule and [`WireCollectEngine`] state.
     fn collect(
         &self,
         submissions: &[SuSubmission],
         transport_seed: u64,
         journal: &mut Journal,
-    ) -> CollectResult {
+    ) -> (WireCollectResult, TransportStats) {
         let n = submissions.len();
-        let mut transport: SimTransport<SubmissionMsg> =
+        let mut link: SimTransport<SubmissionMsg> =
             SimTransport::new(self.config.faults, transport_seed);
-        let mut next_send = vec![0u64; n];
-        let mut attempts = vec![0u32; n];
-        let mut corrupt_copies = vec![0u32; n];
-        let mut done = vec![false; n];
-        let mut accepted: Vec<usize> = Vec::new();
-        let mut quarantine = QuarantineReport::new();
-
+        let mut senders = vec![BidderSendState::new(); n];
+        let mut engine = WireCollectEngine::new(n, self.ttp.n_channels(), *self.ttp.config());
         for tick in 0..=self.config.collect_deadline {
-            // Bidders (re)send on their backoff schedule.
-            for (i, sub) in submissions.iter().enumerate() {
-                if !done[i] && tick >= next_send[i] && attempts[i] <= self.config.max_retries {
-                    attempts[i] += 1;
+            for (i, (sender, submission)) in senders.iter_mut().zip(submissions).enumerate() {
+                if let Some(attempt) = sender.should_send(tick, &self.config) {
+                    let checksum = submission.checksum();
                     let msg = SubmissionMsg {
                         bidder: i,
-                        attempt: attempts[i],
-                        checksum: sub.checksum(),
-                        submission: sub.clone(),
+                        attempt,
+                        checksum,
+                        submission: submission.clone(),
                     };
-                    transport.send(tick, msg, crate::chaos::corrupt_in_flight);
-                    let backoff =
-                        self.config.retry_backoff.max(1) << u64::from(attempts[i] - 1).min(16);
-                    next_send[i] = tick + backoff;
+                    link.send(tick, msg, crate::chaos::corrupt_in_flight);
                 }
             }
-            // The auctioneer processes this tick's deliveries.
-            for msg in transport.deliver(tick) {
-                let i = msg.bidder;
-                if i >= n {
-                    // A corrupted header naming a nonexistent bidder:
-                    // nothing to quarantine, nothing to poison.
-                    continue;
-                }
-                if done[i] {
-                    journal.append(JournalEntry::DuplicateIgnored { bidder: i, tick });
-                    continue;
-                }
-                if msg.submission.checksum() != msg.checksum {
-                    corrupt_copies[i] += 1;
-                    journal.append(JournalEntry::CorruptDiscarded { bidder: i, tick });
-                    continue;
-                }
-                match validate_submission(&msg.submission, self.ttp) {
-                    Ok(()) => {
-                        done[i] = true;
-                        accepted.push(i);
-                        journal.append(JournalEntry::SubmissionAccepted {
-                            bidder: i,
-                            tick,
-                            attempt: msg.attempt,
-                        });
-                    }
-                    Err(cause) => {
-                        // A structurally-bad submission that passed the
-                        // checksum is bad at the *sender* — retries would
-                        // fail identically, so quarantine now.
-                        done[i] = true;
-                        let reason = QuarantineReason::Rejected { cause };
-                        journal.append(JournalEntry::Quarantined {
-                            bidder: i,
-                            reason: reason.to_string(),
-                        });
-                        quarantine.insert(i, reason);
-                    }
+            for msg in link.deliver(tick) {
+                let ack = engine.admit(tick, msg.bidder, journal, || {
+                    let intact = msg.submission.checksum() == msg.checksum;
+                    intact.then_some(Ok((msg.submission, msg.attempt)))
+                });
+                if let Some(ack) = ack {
+                    senders[ack.bidder].mark_done();
                 }
             }
         }
-        transport.flush();
-        for i in 0..n {
-            if !done[i] {
-                let reason = QuarantineReason::MissedDeadline {
-                    attempts: attempts[i],
-                    corrupt_copies: corrupt_copies[i],
-                };
-                journal.append(JournalEntry::Quarantined { bidder: i, reason: reason.to_string() });
-                quarantine.insert(i, reason);
-            }
-        }
-        accepted.sort_unstable();
-        CollectResult {
-            accepted,
-            quarantine,
-            stats: transport.stats,
-            end_tick: self.config.collect_deadline,
-        }
+        link.flush();
+        let attempts: Vec<u32> = senders.iter().map(BidderSendState::attempts).collect();
+        (engine.close(&attempts, journal), link.stats)
     }
+}
 
-    /// Allocate + Charge + Settle over a committed accepted set. Shared
-    /// by fresh runs and journal recovery — both paths are driven only
-    /// by `(accepted, auction_seed, ttp_seed, start_tick)`, which is
-    /// exactly what `CollectCommitted` records.
-    #[allow(clippy::too_many_arguments)] // the CollectCommitted tuple, spelled out
-    fn finish(
-        &self,
-        submissions: &[SuSubmission],
-        accepted: Vec<usize>,
-        auction_seed: u64,
-        ttp_seed: u64,
-        start_tick: u64,
-        journal: Journal,
-        quarantine: QuarantineReport,
-        stats: TransportStats,
-    ) -> Result<SessionOutcome, LppaError> {
-        let compact: Vec<SuSubmission> = accepted.iter().map(|&i| submissions[i].clone()).collect();
-        finish_round(
-            &self.config,
-            LocalTtp(self.ttp),
-            submissions.len(),
-            accepted,
-            &compact,
-            auction_seed,
-            ttp_seed,
-            start_tick,
-            journal,
-            quarantine,
-            stats,
-        )
+/// One in-process round from `seed`: the Announce and Collect phase
+/// entries, `collect` (handed the transport seed), [`commit_collect`],
+/// then [`finish_round`] against the local `ttp`. The typed session and
+/// [`crate::wire_round::run_wire_round`] differ only in `collect`.
+pub(crate) fn run_local(
+    ttp: &Ttp,
+    config: &SessionConfig,
+    n_bidders: usize,
+    seed: u64,
+    collect: impl FnOnce(u64, &mut Journal) -> (WireCollectResult, TransportStats),
+) -> Result<SessionOutcome, LppaError> {
+    let (transport_seed, auction_seed, ttp_seed) = derive_seeds(seed);
+    let mut journal = Journal::new();
+    journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
+    journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
+    let (collected, stats) = collect(transport_seed, &mut journal);
+    commit_collect(config, &collected.accepted, auction_seed, ttp_seed, &mut journal)?;
+    finish_round(config, LocalTtp(ttp), n_bidders, collected, journal, stats)
+}
+
+/// Commits a closed collect at the deadline — the one commit step of
+/// every driver: checks the quorum, then journals `CollectCommitted`
+/// with the seeds the later phases (and [`resume_round`]) replay from.
+///
+/// # Errors
+///
+/// [`LppaError::QuorumNotReached`] if fewer than
+/// [`SessionConfig::min_accepted`] (at least 1) bidders were accepted.
+pub fn commit_collect(
+    config: &SessionConfig,
+    accepted: &[usize],
+    auction_seed: u64,
+    ttp_seed: u64,
+    journal: &mut Journal,
+) -> Result<(), LppaError> {
+    let required = config.min_accepted.max(1);
+    if accepted.len() < required {
+        return Err(LppaError::QuorumNotReached { accepted: accepted.len(), required });
     }
+    journal.append(JournalEntry::CollectCommitted {
+        accepted: accepted.to_vec(),
+        auction_seed,
+        ttp_seed,
+        tick: config.collect_deadline,
+    });
+    Ok(())
+}
+
+/// Resumes an interrupted round from its journal — the one resume path
+/// of every driver, charging through any [`ChargeBackend`].
+///
+/// `journal` must contain the `CollectCommitted` entry; everything
+/// after it is discarded and regenerated. A round interrupted before
+/// collect committed holds no decisions worth recovering — rerun it.
+/// `accepted_submissions` maps the committed accepted set to its
+/// submissions, in order. Collect-time quarantines are recovered from
+/// the journal prefix, and Allocate → Settle replays from the committed
+/// seeds through [`finish_round`]. Transport counters cannot be
+/// reconstructed, so [`SessionOutcome::stats`] is zeroed; every
+/// fingerprinted field matches the original run exactly.
+///
+/// # Errors
+///
+/// [`LppaError::Internal`] if the journal has no committed collect
+/// phase; whatever `accepted_submissions` or [`finish_round`] fail with.
+pub fn resume_round<B: ChargeBackend>(
+    config: &SessionConfig,
+    backend: B,
+    n_bidders: usize,
+    journal: &Journal,
+    accepted_submissions: impl FnOnce(&[usize]) -> Result<Vec<SuSubmission>, LppaError>,
+) -> Result<SessionOutcome, LppaError> {
+    let Some(((accepted, ..), prefix)) =
+        journal.collect_snapshot().zip(journal.prefix_through_collect())
+    else {
+        return Err(LppaError::Internal {
+            what: "journal has no committed collect phase to resume from".into(),
+        });
+    };
+    let mut quarantine = QuarantineReport::new();
+    for (bidder, reason) in prefix.quarantine_events() {
+        quarantine.insert(bidder, QuarantineReason::Recovered { detail: reason.to_string() });
+    }
+    let collected = WireCollectResult {
+        accepted_submissions: accepted_submissions(accepted)?,
+        accepted: accepted.to_vec(),
+        quarantine,
+    };
+    finish_round(config, backend, n_bidders, collected, prefix, TransportStats::default())
 }
 
 /// Phases 1–3 over a committed accepted set: the masked conflict
@@ -501,49 +431,49 @@ pub fn allocate_accepted(
     Ok((conflicts, grants, requests))
 }
 
-/// Allocate + Charge + Settle over a committed accepted set, charging
+/// Allocate + Charge + Settle over a committed collect, charging
 /// through any [`ChargeBackend`].
 ///
-/// This is the shared tail of every driver: the in-process
-/// [`AuctionSession`] (typed or wire-framed collect) calls it with
-/// [`LocalTtp`]; the socket auctioneer calls it with a remote TTP
-/// connection. `accepted_submissions` is *compact* — parallel to
-/// `accepted`, holding only the submissions that survived collect —
-/// because a networked auctioneer never materializes the ones that
-/// didn't. `n_bidders` sizes the outcome's bidder space (original
-/// indices).
+/// This is the shared tail of every driver: the in-process rounds call
+/// it with [`LocalTtp`], the socket auctioneer with a remote TTP
+/// connection, and [`resume_round`] with whichever the caller resumes
+/// over. `journal` must run through the `CollectCommitted` entry
+/// ([`commit_collect`]): the allocation and TTP-link seeds and the start
+/// tick are read from it, so a fresh run and a resumed one replay from
+/// exactly the recorded values. `collected` is *compact* — it holds only
+/// the submissions that survived collect, because a networked
+/// auctioneer never materializes the others. `n_bidders` sizes the
+/// outcome's bidder space (original indices).
 ///
 /// # Errors
 ///
-/// [`LppaError::Internal`] if `accepted` and `accepted_submissions`
-/// disagree in length, or for table inconsistencies (impossible for
-/// validated submissions).
-#[allow(clippy::too_many_arguments)] // the CollectCommitted tuple, spelled out
+/// [`LppaError::Internal`] if collect never committed or `collected`
+/// disagrees with the commitment, or for table inconsistencies
+/// (impossible for validated submissions).
 pub fn finish_round<B: ChargeBackend>(
     config: &SessionConfig,
     backend: B,
     n_bidders: usize,
-    accepted: Vec<usize>,
-    accepted_submissions: &[SuSubmission],
-    auction_seed: u64,
-    ttp_seed: u64,
-    start_tick: u64,
+    collected: WireCollectResult,
     mut journal: Journal,
-    mut quarantine: QuarantineReport,
     stats: TransportStats,
 ) -> Result<SessionOutcome, LppaError> {
-    if accepted.len() != accepted_submissions.len() {
-        return Err(LppaError::Internal {
-            what: format!(
-                "finish_round: {} accepted indices but {} submissions",
-                accepted.len(),
-                accepted_submissions.len()
-            ),
-        });
-    }
+    let WireCollectResult { accepted, accepted_submissions, mut quarantine } = collected;
+    let (auction_seed, ttp_seed, start_tick) = match journal.collect_snapshot() {
+        Some((committed, auction_seed, ttp_seed, tick))
+            if committed == accepted && accepted.len() == accepted_submissions.len() =>
+        {
+            (auction_seed, ttp_seed, tick)
+        }
+        _ => {
+            return Err(LppaError::Internal {
+                what: "finish_round: the collected set does not match a committed collect".into(),
+            })
+        }
+    };
     journal.append(JournalEntry::PhaseEntered { phase: Phase::Allocate, tick: start_tick });
     let (conflicts, compact_grants, requests) =
-        allocate_accepted(config, accepted_submissions, auction_seed)?;
+        allocate_accepted(config, &accepted_submissions, auction_seed)?;
     // The ledger backend's audit chain is built from journal-recoverable
     // data only (accepted set, grants, charge verdicts), so a resumed
     // session replays to the byte-identical root.
@@ -553,7 +483,7 @@ pub fn finish_round<B: ChargeBackend>(
     };
     let to_original = |g: &Grant| Grant { bidder: BidderId(accepted[g.bidder.0]), ..*g };
     if let Some(ledger) = ledger.as_mut() {
-        for (&original, submission) in accepted.iter().zip(accepted_submissions) {
+        for (&original, submission) in accepted.iter().zip(&accepted_submissions) {
             ledger.append("submission", &submission_payload(original, submission.checksum()));
         }
     }

@@ -128,49 +128,6 @@ impl<T: Clone> SimTransport<T> {
     }
 }
 
-/// A transport that moves opaque encoded frames — the abstraction both
-/// the in-process [`SimTransport`] and the real socket link implement,
-/// so the wire-format session logic is blind to which one carries it.
-///
-/// Ticks are the session clock: a frame sent at `now` becomes eligible
-/// for delivery at `now + 1` at the earliest. Implementations own their
-/// fault model (simulated chaos or genuine network weather) and report
-/// it through [`FrameTransport::frame_stats`].
-pub trait FrameTransport {
-    /// Sends one encoded frame at tick `now`.
-    fn send_frame(&mut self, now: u64, frame: Vec<u8>);
-
-    /// Every frame arriving at tick `now`, in the link's delivery order.
-    fn poll_frames(&mut self, now: u64) -> Vec<Vec<u8>>;
-
-    /// Discards frames still in flight — end of phase, stragglers can no
-    /// longer matter.
-    fn flush_frames(&mut self);
-
-    /// Link counters.
-    fn frame_stats(&self) -> TransportStats;
-}
-
-/// The simulated link carrying raw frames: chaos corruption flips one
-/// random byte via [`crate::chaos::corrupt_frame`].
-impl FrameTransport for SimTransport<Vec<u8>> {
-    fn send_frame(&mut self, now: u64, frame: Vec<u8>) {
-        self.send(now, frame, |bytes, rng| crate::chaos::corrupt_frame(bytes, rng));
-    }
-
-    fn poll_frames(&mut self, now: u64) -> Vec<Vec<u8>> {
-        self.deliver(now)
-    }
-
-    fn flush_frames(&mut self) {
-        self.flush();
-    }
-
-    fn frame_stats(&self) -> TransportStats {
-        self.stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,39 +1,44 @@
-//! The wire-framed collect engine and the simulated wire round.
+//! The one collect path under every round driver.
 //!
 //! The typed [`crate::session::AuctionSession::run`] moves
-//! [`crate::session::SubmissionMsg`] structs through the chaos link —
-//! faithful to the protocol, but nothing like a network. This module
-//! runs the same round over *encoded bytes*: bidders serialize their
-//! submissions with [`lppa::wire`], wrap them in [`crate::frame`]
-//! frames, and push them through any [`FrameTransport`]. The
-//! auctioneer's side is [`WireCollectEngine`] — decode, checksum-check,
-//! validate, quarantine — and it is deliberately transport-blind: the
-//! in-process simulation ([`run_wire_round`]) and the real socket round
-//! in `lppa-net` feed it the same bytes in the same order, which is the
-//! whole sim-vs-socket equivalence argument. Whatever the engine
-//! decides is journalled exactly like the typed path, so the journal
-//! replay and resume machinery applies unchanged.
+//! [`crate::session::SubmissionMsg`] structs through the chaos link;
+//! [`run_wire_round`] and the socket auctioneer in `lppa-net` move
+//! encoded frames through it. Past the link all three share one path:
+//! the [`BidderSendState`] send schedule, and [`WireCollectEngine`]'s
+//! admit step (unknown bidder → skipped, settled → `DuplicateIgnored`,
+//! checksum mismatch → `CorruptDiscarded`, then accepted or quarantined
+//! as `Rejected`) and deadline [`close`](WireCollectEngine::close).
+//! [`WireCollectEngine::ingest`] is frame decode + admit; bytes that
+//! don't decode are journalled as [`JournalEntry::FrameRejected`]. The
+//! simulated and socket rounds also share the tick loop,
+//! [`collect_frames`], and differ only in their [`FrameIo`]: local
+//! encode vs socket receive. The engine thus sees the same bytes in the
+//! same order on both sides — the whole sim-vs-socket equivalence
+//! argument — and every driver journals the same decisions, so
+//! [`crate::session::commit_collect`] and
+//! [`crate::session::resume_round`] serve them all.
 
 use lppa::protocol::{validate_submission_with, SuSubmission};
 use lppa::ttp::Ttp;
 use lppa::wire::{decode_submission, encode_submission};
 use lppa::{LppaConfig, LppaError};
 
+use crate::chaos::corrupt_frame;
 use crate::frame::{decode_frame_exact, encode_frame, FrameKind};
-use crate::journal::{Journal, JournalEntry, Phase};
+use crate::journal::{Journal, JournalEntry};
 use crate::quarantine::{QuarantineReason, QuarantineReport};
-use crate::session::{derive_seeds, finish_round, SessionConfig, SessionOutcome};
-use crate::transport::{FrameTransport, SimTransport};
-use crate::ttp_link::LocalTtp;
+use crate::session::{run_local, SessionConfig, SessionOutcome};
+use crate::transport::{SimTransport, TransportStats};
 
-/// One bidder's retry/backoff bookkeeping during a wire-framed collect.
+/// One bidder's retry/backoff bookkeeping during collect — the only send
+/// schedule in the workspace.
 ///
 /// This is the *sender's* state machine, split out of the collect loop
 /// so a real bidder process can run it against its own clock: ask
 /// [`Self::should_send`] once per tick, transmit when it says so, and
 /// [`Self::mark_done`] when the auctioneer acknowledges (accept *or*
-/// reject — both end the resend loop). The schedule it produces is
-/// byte-for-byte the one the typed collect loop runs inline.
+/// reject — both end the resend loop). The collect drivers run one per
+/// bidder as the auctioneer's mirror of that schedule.
 #[derive(Clone, Debug, Default)]
 pub struct BidderSendState {
     next_send: u64,
@@ -65,19 +70,14 @@ impl BidderSendState {
         self.done = true;
     }
 
-    /// Whether the auctioneer has settled this bidder.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
     /// Send attempts made so far.
     pub fn attempts(&self) -> u32 {
         self.attempts
     }
 }
 
-/// The verdict [`WireCollectEngine::ingest`] asks the driver to relay
-/// back to a bidder. Both verdicts end that bidder's resend loop.
+/// The verdict the collect engine asks the driver to relay back to a
+/// bidder. Both verdicts end that bidder's resend loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SubmissionAck {
     /// Original submission index.
@@ -86,7 +86,7 @@ pub struct SubmissionAck {
     pub accepted: bool,
 }
 
-/// What a closed wire collect hands to [`finish_round`].
+/// What a closed collect hands to [`crate::session::finish_round`].
 #[derive(Debug)]
 pub struct WireCollectResult {
     /// Accepted original indices, ascending.
@@ -97,14 +97,12 @@ pub struct WireCollectResult {
     pub quarantine: QuarantineReport,
 }
 
-/// The auctioneer's collect phase over encoded frames.
+/// The auctioneer's per-bidder collect state, shared by every driver.
 ///
-/// Feed it every arriving frame in delivery order via
-/// [`Self::ingest`]; it decodes, checksums, validates and journals with
-/// exactly the typed collect loop's per-bidder semantics, plus one new
-/// outcome: bytes that don't decode to a submission at all are
-/// journalled as [`JournalEntry::FrameRejected`] — a frame so damaged
-/// it can't even be attributed to a bidder.
+/// Feed it every arriving frame in delivery order via [`Self::ingest`]
+/// (the typed driver hands it decoded messages directly); it checksums,
+/// validates and journals each copy, then [`Self::close`] settles the
+/// stragglers at the deadline.
 #[derive(Debug)]
 pub struct WireCollectEngine {
     n: usize,
@@ -134,69 +132,82 @@ impl WireCollectEngine {
         }
     }
 
-    /// Processes one delivered frame at `tick`. Returns the ack to
-    /// relay when the frame settles a bidder (accepted or rejected);
-    /// `None` for everything that a retransmission may still cover
-    /// (corrupt copies, undecodable frames) or that needs no answer
-    /// (duplicates, unknown bidders).
+    /// Processes one delivered frame at `tick`: decode, then admit.
+    /// Returns the ack to relay when the frame settles a bidder
+    /// (accepted or rejected); `None` for everything that a
+    /// retransmission may still cover (corrupt copies, undecodable
+    /// frames) or that needs no answer (duplicates, unknown bidders).
     pub fn ingest(
         &mut self,
         tick: u64,
         bytes: &[u8],
         journal: &mut Journal,
     ) -> Option<SubmissionAck> {
-        let Ok(frame) = decode_frame_exact(bytes) else {
+        let view = match decode_frame_exact(bytes) {
+            Ok(frame) if frame.kind == FrameKind::Submission => {
+                decode_submission(frame.payload).ok()
+            }
+            _ => None,
+        };
+        let Some(view) = view else {
+            // Too damaged to attribute to any bidder.
             journal.append(JournalEntry::FrameRejected { tick });
             return None;
         };
-        if frame.kind != FrameKind::Submission {
-            journal.append(JournalEntry::FrameRejected { tick });
-            return None;
-        }
-        let Ok(view) = decode_submission(frame.payload) else {
-            journal.append(JournalEntry::FrameRejected { tick });
-            return None;
-        };
-        let i = view.bidder();
-        if i >= self.n {
+        self.admit(tick, view.bidder(), journal, || {
+            (view.computed_checksum() == view.declared_checksum())
+                .then(|| view.materialize().map(|(submission, attempt, _)| (submission, attempt)))
+        })
+    }
+
+    /// The admit step behind every driver: one delivered copy claiming
+    /// to come from `bidder`. `open` runs only for an unsettled, known
+    /// bidder; it returns `None` when the copy fails its transport
+    /// checksum (a retransmission may still cover it), otherwise the
+    /// submission and its 1-based attempt, or why it could not be built.
+    pub(crate) fn admit(
+        &mut self,
+        tick: u64,
+        bidder: usize,
+        journal: &mut Journal,
+        open: impl FnOnce() -> Option<Result<(SuSubmission, u32), LppaError>>,
+    ) -> Option<SubmissionAck> {
+        if bidder >= self.n {
             // A corrupted header naming a nonexistent bidder: nothing to
             // quarantine, nothing to poison.
             return None;
         }
-        if self.done[i] {
-            journal.append(JournalEntry::DuplicateIgnored { bidder: i, tick });
+        if self.done[bidder] {
+            journal.append(JournalEntry::DuplicateIgnored { bidder, tick });
             return None;
         }
-        if view.computed_checksum() != view.declared_checksum() {
-            self.corrupt_copies[i] += 1;
-            journal.append(JournalEntry::CorruptDiscarded { bidder: i, tick });
+        let Some(opened) = open() else {
+            self.corrupt_copies[bidder] += 1;
+            journal.append(JournalEntry::CorruptDiscarded { bidder, tick });
             return None;
-        }
-        let (submission, attempt) = match view.materialize() {
-            Ok((submission, attempt, _)) => (submission, attempt),
-            Err(cause) => return Some(self.reject(i, cause, journal)),
         };
-        match validate_submission_with(&submission, self.n_channels, &self.config) {
-            Ok(()) => {
-                self.done[i] = true;
-                self.accepted.push(i);
-                journal.append(JournalEntry::SubmissionAccepted { bidder: i, tick, attempt });
-                self.submissions[i] = Some(submission);
-                Some(SubmissionAck { bidder: i, accepted: true })
+        self.done[bidder] = true;
+        let validated = opened.and_then(|(submission, attempt)| {
+            validate_submission_with(&submission, self.n_channels, &self.config)?;
+            Ok((submission, attempt))
+        });
+        match validated {
+            Ok((submission, attempt)) => {
+                self.accepted.push(bidder);
+                journal.append(JournalEntry::SubmissionAccepted { bidder, tick, attempt });
+                self.submissions[bidder] = Some(submission);
+                Some(SubmissionAck { bidder, accepted: true })
             }
-            Err(cause) => Some(self.reject(i, cause, journal)),
+            Err(cause) => {
+                // A structurally-bad submission that passed the checksum
+                // is bad at the *sender* — retries would fail
+                // identically, so quarantine now.
+                let reason = QuarantineReason::Rejected { cause };
+                journal.append(JournalEntry::Quarantined { bidder, reason: reason.to_string() });
+                self.quarantine.insert(bidder, reason);
+                Some(SubmissionAck { bidder, accepted: false })
+            }
         }
-    }
-
-    /// Quarantines bidder `i`: a structurally-bad submission that passed
-    /// the checksum is bad at the *sender* — retries would fail
-    /// identically.
-    fn reject(&mut self, i: usize, cause: LppaError, journal: &mut Journal) -> SubmissionAck {
-        self.done[i] = true;
-        let reason = QuarantineReason::Rejected { cause };
-        journal.append(JournalEntry::Quarantined { bidder: i, reason: reason.to_string() });
-        self.quarantine.insert(i, reason);
-        SubmissionAck { bidder: i, accepted: false }
     }
 
     /// Closes the phase at the deadline: quarantines every unsettled
@@ -237,6 +248,76 @@ pub fn encode_submission_frame(bidder: usize, attempt: u32, sub: &SuSubmission) 
     encode_frame(FrameKind::Submission, u64::from(attempt), &payload)
 }
 
+/// The I/O a driver supplies to [`collect_frames`]: where each tick's
+/// submission frames come from and where acks go.
+pub trait FrameIo {
+    /// Why the driver ended the collect early (a socket failure, a
+    /// simulated crash). The in-process round cannot fail.
+    type Error;
+
+    /// The frames the bidders send at `tick`, in bidder order.
+    /// `sends[i]` is bidder `i`'s attempt number when its
+    /// [`BidderSendState`] schedule transmits now, `None` otherwise.
+    fn frames(&mut self, tick: u64, sends: &[Option<u32>]) -> Result<Vec<Vec<u8>>, Self::Error>;
+
+    /// Relays `ack` back to its bidder. The in-process round has no one
+    /// to tell.
+    fn ack(&mut self, _ack: SubmissionAck) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The one wire collect loop, run by [`run_wire_round`] and the socket
+/// auctioneer: every tick, the [`BidderSendState`] mirrors decide who
+/// sends, `io` supplies those frames, the seeded chaos link (frame
+/// corruption via [`corrupt_frame`]) carries them, and `engine` ingests
+/// what the link delivers, each ack going back through `io`. Returns
+/// the closed collect and the link counters.
+///
+/// # Errors
+///
+/// Whatever `io` fails with.
+pub fn collect_frames<I: FrameIo>(
+    config: &SessionConfig,
+    mut engine: WireCollectEngine,
+    transport_seed: u64,
+    journal: &mut Journal,
+    io: &mut I,
+) -> Result<(WireCollectResult, TransportStats), I::Error> {
+    let mut link: SimTransport<Vec<u8>> = SimTransport::new(config.faults, transport_seed);
+    let mut senders = vec![BidderSendState::new(); engine.n];
+    for tick in 0..=config.collect_deadline {
+        let sends: Vec<Option<u32>> =
+            senders.iter_mut().map(|s| s.should_send(tick, config)).collect();
+        for frame in io.frames(tick, &sends)? {
+            link.send(tick, frame, |bytes, rng| corrupt_frame(bytes, rng));
+        }
+        for bytes in link.deliver(tick) {
+            if let Some(ack) = engine.ingest(tick, &bytes, journal) {
+                senders[ack.bidder].mark_done();
+                io.ack(ack)?;
+            }
+        }
+    }
+    link.flush();
+    let attempts: Vec<u32> = senders.iter().map(BidderSendState::attempts).collect();
+    Ok((engine.close(&attempts, journal), link.stats))
+}
+
+/// In-process bidders: every scheduled send encodes a fresh frame.
+struct LocalBidders<'a>(&'a [SuSubmission]);
+
+impl FrameIo for LocalBidders<'_> {
+    type Error = std::convert::Infallible;
+
+    fn frames(&mut self, _tick: u64, sends: &[Option<u32>]) -> Result<Vec<Vec<u8>>, Self::Error> {
+        let frames = sends.iter().zip(self.0).enumerate();
+        Ok(frames
+            .filter_map(|(i, (attempt, sub))| attempt.map(|a| encode_submission_frame(i, a, sub)))
+            .collect())
+    }
+}
+
 /// Runs one complete round over encoded frames through the simulated
 /// chaos link — the in-process reference the socket round must match
 /// fingerprint-for-fingerprint under the same seeds.
@@ -251,55 +332,17 @@ pub fn run_wire_round(
     submissions: &[SuSubmission],
     seed: u64,
 ) -> Result<SessionOutcome, LppaError> {
-    let (transport_seed, auction_seed, ttp_seed) = derive_seeds(seed);
-    let n = submissions.len();
-    let mut journal = Journal::new();
-    journal.append(JournalEntry::PhaseEntered { phase: Phase::Announce, tick: 0 });
-    journal.append(JournalEntry::PhaseEntered { phase: Phase::Collect, tick: 0 });
-
-    let mut link: SimTransport<Vec<u8>> = SimTransport::new(config.faults, transport_seed);
-    let mut senders = vec![BidderSendState::new(); n];
-    let mut engine = WireCollectEngine::new(n, ttp.n_channels(), *ttp.config());
-
-    for tick in 0..=config.collect_deadline {
-        for (i, sub) in submissions.iter().enumerate() {
-            if let Some(attempt) = senders[i].should_send(tick, &config) {
-                link.send_frame(tick, encode_submission_frame(i, attempt, sub));
-            }
-        }
-        for bytes in link.poll_frames(tick) {
-            if let Some(ack) = engine.ingest(tick, &bytes, &mut journal) {
-                senders[ack.bidder].mark_done();
-            }
-        }
-    }
-    link.flush_frames();
-    let attempts: Vec<u32> = senders.iter().map(BidderSendState::attempts).collect();
-    let collected = engine.close(&attempts, &mut journal);
-
-    let required = config.min_accepted.max(1);
-    if collected.accepted.len() < required {
-        return Err(LppaError::QuorumNotReached { accepted: collected.accepted.len(), required });
-    }
-    journal.append(JournalEntry::CollectCommitted {
-        accepted: collected.accepted.clone(),
-        auction_seed,
-        ttp_seed,
-        tick: config.collect_deadline,
-    });
-    finish_round(
-        &config,
-        LocalTtp(ttp),
-        n,
-        collected.accepted,
-        &collected.accepted_submissions,
-        auction_seed,
-        ttp_seed,
-        config.collect_deadline,
-        journal,
-        collected.quarantine,
-        link.frame_stats(),
-    )
+    run_local(ttp, &config, submissions.len(), seed, |transport_seed, journal| {
+        let engine = WireCollectEngine::new(submissions.len(), ttp.n_channels(), *ttp.config());
+        let Ok(collected) = collect_frames(
+            &config,
+            engine,
+            transport_seed,
+            journal,
+            &mut LocalBidders(submissions),
+        );
+        collected
+    })
 }
 
 #[cfg(test)]
